@@ -20,7 +20,6 @@
 #include "core/parallel.hpp"
 #include "nn/kernels.hpp"
 #include "quant/int8_kernels.hpp"
-#include "quant/qnetwork.hpp"
 #include "quant/quantizer.hpp"
 #include "sparse/sparse_ops.hpp"
 #include "sparse/tensor.hpp"

@@ -11,26 +11,16 @@
 // decoders stay dense, so the end-to-end speedup is the Amdahl-limited,
 // honest number.
 //
-// The calibrated plan includes the cache-model TilePlan (streaming tile
-// dataflow over the sparse chains), so speedup_planner is the shipped
-// default. A forced-tile-rows sweep additionally reports the best
-// measured tile geometry next to the model's pick (tile_rows vs
-// best_tile_rows) — the standing check that the capacity model stays
-// honest on this machine.
-//
-// Doubles as a parity smoke test: every configuration (planner-routed,
-// every sweep geometry) must be bitwise identical to dense output
-// (max_abs_diff == 0) — the bench exits non-zero otherwise. Results go
-// to BENCH_sparse_engine.json and are gated in CI by
-// scripts/check_bench_regression.py.
+// Doubles as a parity smoke test: planner-routed output must be bitwise
+// identical to dense output (max_abs_diff == 0) — the bench exits
+// non-zero otherwise. Results go to BENCH_sparse_engine.json and are
+// gated in CI by scripts/check_bench_regression.py.
 //
 // Usage: bench_sparse_engine [--json] [output.json]
 //   --json   write the JSON document to stdout too (the human table
 //            moves to stderr, matching bench_serve)
 
-#include <algorithm>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,41 +51,11 @@ struct Result {
   double max_abs_diff = 0.0;     ///< planner vs dense (must be 0)
   double sparse_mac_fraction = 0.0;  ///< dense MACs replaced / total
   double firing_rate = 0.0;      ///< mean spiking rate over the run
-  int tile_rows = 0;             ///< cache-model exit rows (0 = untiled)
-  int best_tile_rows = 0;        ///< best measured sweep geometry
-  double best_tiled_ms = 0.0;    ///< planner time at best_tile_rows
 
   [[nodiscard]] double speedup_planner() const {
     return planner_ms > 0.0 ? dense_ms / planner_ms : 0.0;
   }
-  [[nodiscard]] double speedup_tiled_best() const {
-    return best_tiled_ms > 0.0 ? dense_ms / best_tiled_ms : 0.0;
-  }
 };
-
-/// Exit tile_rows of the plan's largest tiling chain (0 when no chain
-/// actually tiles) — the headline geometry of the model's pick.
-[[nodiscard]] int headline_tile_rows(const en::TilePlan& tiles) {
-  int rows = 0;
-  std::size_t best_len = 0;
-  for (const en::TileChain& chain : tiles.chains) {
-    if (chain.tiles > 1 && chain.nodes.size() >= best_len) {
-      best_len = chain.nodes.size();
-      rows = chain.tile_rows;
-    }
-  }
-  return rows;
-}
-
-/// Geometry signature for sweep dedup (clamped forced rows can collide).
-[[nodiscard]] std::vector<std::pair<int, int>> tile_signature(
-    const en::TilePlan& tiles) {
-  std::vector<std::pair<int, int>> sig;
-  for (const en::TileChain& chain : tiles.chains) {
-    sig.emplace_back(chain.tile_rows, chain.tiles);
-  }
-  return sig;
-}
 
 void write_json_to(std::FILE* f, const std::vector<Result>& results) {
   std::fprintf(f,
@@ -111,12 +71,10 @@ void write_json_to(std::FILE* f, const std::vector<Result>& results) {
         "    {\"network\": \"%s\", \"density\": %.4f, \"dense_ms\": %.4f, "
         "\"planner_ms\": %.4f, \"speedup_planner\": %.2f, "
         "\"sparse_routed\": %d, \"sparse_mac_fraction\": %.3f, "
-        "\"firing_rate\": %.4f, \"tile_rows\": %d, \"best_tile_rows\": %d, "
-        "\"speedup_tiled_best\": %.2f, \"max_abs_diff\": %.3g}%s\n",
+        "\"firing_rate\": %.4f, \"max_abs_diff\": %.3g}%s\n",
         r.network.c_str(), r.density, r.dense_ms, r.planner_ms,
         r.speedup_planner(), r.sparse_routed, r.sparse_mac_fraction,
-        r.firing_rate, r.tile_rows, r.best_tile_rows, r.speedup_tiled_best(),
-        r.max_abs_diff, i + 1 < results.size() ? "," : "");
+        r.firing_rate, r.max_abs_diff, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -158,19 +116,13 @@ int main(int argc, char** argv) {
                                 en::NetworkId::kFusionFlowNet};
   const double densities[] = {0.01, 0.03};
   constexpr int kReps = 3;
-  constexpr int kSweepReps = 2;
-  // Forced exit-row geometries for the tile sweep; 0 = tiling disabled
-  // (the pre-tiling execution). Values above a chain's exit extent clamp
-  // and dedup away.
-  const int sweep_rows[] = {0, 8, 16, 32, 64};
 
   std::fprintf(g_table, "sparse engine planner benchmark (threads=%d)\n",
                evedge::core::parallel_thread_count());
   std::fprintf(g_table,
-               "%-18s %8s %10s %11s %9s %7s %9s %6s %6s %7s %12s\n",
-               "network", "density", "dense_ms", "planner_ms", "speedup",
-               "routed", "mac_frac", "tile", "best", "best_x",
-               "max_abs_diff");
+               "%-18s %8s %10s %11s %9s %7s %9s %12s\n", "network",
+               "density", "dense_ms", "planner_ms", "speedup", "routed",
+               "mac_frac", "max_abs_diff");
 
   std::vector<Result> results;
   bool parity_ok = true;
@@ -193,7 +145,6 @@ int main(int argc, char** argv) {
 
       const auto plan = en::ExecutionPlanner::calibrate(net, steps, image);
       r.sparse_routed = plan.sparse_node_count();
-      r.tile_rows = headline_tile_rows(plan.tiles);
       net.set_execution_plan(&plan);
       const auto routed_out = net.run(steps, image);
       r.max_abs_diff = es::max_abs_diff(routed_out, dense_out);
@@ -207,51 +158,14 @@ int main(int argc, char** argv) {
       r.planner_ms = time_best_ms([&] { (void)net.run(steps, image); }, kReps);
       r.firing_rate = net.network_firing_rate();
 
-      // Tile sweep: same routes, forced tile geometries. Every point
-      // must stay bitwise dense-identical — that is the tiling contract,
-      // and the sweep doubles as its stress test at DAVIS scale.
-      std::set<std::vector<std::pair<int, int>>> seen;
-      seen.insert(tile_signature(plan.tiles));
-      r.best_tile_rows = r.tile_rows;
-      r.best_tiled_ms = r.planner_ms;
-      for (const int rows : sweep_rows) {
-        en::ExecutionPlan sweep_plan = plan;
-        en::TileOptions topt;
-        if (rows == 0) {
-          topt.enable = false;
-        } else {
-          topt.forced_tile_rows = rows;
-        }
-        sweep_plan.tiles = en::build_tile_plan(spec, sweep_plan, topt);
-        if (!seen.insert(tile_signature(sweep_plan.tiles)).second) continue;
-        net.set_execution_plan(&sweep_plan);
-        const auto sweep_out = net.run(steps, image);
-        const double diff = es::max_abs_diff(sweep_out, dense_out);
-        if (diff != 0.0) {
-          parity_ok = false;
-          std::fprintf(stderr,
-                       "parity failure: %s density %.4f tile_rows %d "
-                       "max_abs_diff %.3g\n",
-                       r.network.c_str(), density, rows, diff);
-        }
-        const double ms =
-            time_best_ms([&] { (void)net.run(steps, image); }, kSweepReps);
-        if (ms < r.best_tiled_ms) {
-          r.best_tiled_ms = ms;
-          r.best_tile_rows =
-              sweep_plan.tiles.enabled() ? headline_tile_rows(sweep_plan.tiles)
-                                         : 0;
-        }
-      }
       net.set_execution_plan(nullptr);
 
       if (r.max_abs_diff != 0.0) parity_ok = false;
       std::fprintf(
           g_table,
-          "%-18s %8.4f %10.2f %11.2f %8.2fx %7d %9.3f %6d %6d %6.2fx %12.3g\n",
+          "%-18s %8.4f %10.2f %11.2f %8.2fx %7d %9.3f %12.3g\n",
           r.network.c_str(), r.density, r.dense_ms, r.planner_ms,
           r.speedup_planner(), r.sparse_routed, r.sparse_mac_fraction,
-          r.tile_rows, r.best_tile_rows, r.speedup_tiled_best(),
           r.max_abs_diff);
       std::fflush(g_table);
       results.push_back(std::move(r));

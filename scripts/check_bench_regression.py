@@ -17,11 +17,7 @@ Six benchmark schemas are understood, auto-detected per record:
       and "speedup_csr"
   BENCH_sparse_engine.json
       records with network/density and a "speedup_planner" metric
-      (planner-routed engine vs all-dense, same machine same run);
-      records that carry "speedup_tiled_best" (the best measured tile
-      geometry from the bench's forced-tile sweep) gate on it too — a
-      drop means the tiled chain walker itself slowed down, independent
-      of whether the cache model picked that geometry
+      (planner-routed engine vs all-dense, same machine same run)
   BENCH_serve.json
       records with network/streams and a "speedup_serve" metric
       (concurrent serving runtime vs per-stream serial dense execution
@@ -103,9 +99,6 @@ def load(path):
                 key = ("sparse_engine", _require(r, "network", path, i),
                        round(float(_require(r, "density", path, i)), 6))
                 metrics = {"speedup_planner": float(r["speedup_planner"])}
-                if "speedup_tiled_best" in r:
-                    metrics["speedup_tiled_best"] = float(
-                        r["speedup_tiled_best"])
             elif "ontime_ratio" in r:  # paced closed-loop serving schema
                 key = ("serve_paced", _require(r, "network", path, i),
                        float(int(_require(r, "streams", path, i))))

@@ -247,48 +247,6 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
       }
     }
   }
-  // Validate the tile plan against the graph and the route table before
-  // any state changes (same atomic-install contract).
-  if (plan != nullptr) {
-    std::vector<std::uint8_t> in_chain(spec_.graph.size(), 0);
-    for (const TileChain& tc : plan->tiles.chains) {
-      if (tc.nodes.empty()) {
-        throw std::invalid_argument("set_execution_plan: empty tile chain");
-      }
-      for (std::size_t k = 0; k < tc.nodes.size(); ++k) {
-        const int id = tc.nodes[k];
-        if (id < 0 || id >= static_cast<int>(spec_.graph.size()) ||
-            plan->route_of(id) == Route::kDense) {
-          throw std::invalid_argument(
-              "set_execution_plan: tile chain node " + std::to_string(id) +
-              " is not sparse-routed");
-        }
-        if (in_chain[static_cast<std::size_t>(id)]++ != 0) {
-          throw std::invalid_argument(
-              "set_execution_plan: node " + std::to_string(id) +
-              " appears in two tile chains");
-        }
-        const LayerNode& node = spec_.graph.node(id);
-        if (k > 0 && (id != tc.nodes[k - 1] + 1 ||
-                      node.parents.size() != 1 ||
-                      node.parents.front() != tc.nodes[k - 1])) {
-          throw std::invalid_argument(
-              "set_execution_plan: tile chain is not a consecutive "
-              "parent-linked run at node " +
-              std::to_string(id));
-        }
-      }
-      const int exit_h =
-          spec_.graph.node(tc.nodes.back()).spec.out_shape.h;
-      if (tc.tile_rows < 1 || tc.tile_rows > exit_h ||
-          tc.tiles != (exit_h + tc.tile_rows - 1) / tc.tile_rows) {
-        throw std::invalid_argument(
-            "set_execution_plan: inconsistent tile geometry on chain at "
-            "node " +
-            std::to_string(tc.nodes.front()));
-      }
-    }
-  }
   const ExecutionPlan* previous = exec_plan_;
   exec_plan_ = plan;
   node_route_.assign(spec_.graph.size(), Route::kDense);
@@ -296,65 +254,6 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
     for (std::size_t i = 0;
          i < std::min(plan->route.size(), node_route_.size()); ++i) {
       node_route_[i] = plan->route[i];
-    }
-  }
-  // Compile the tile chains: resolve every layer's per-tile OWNED band
-  // (exit layer: tile_rows bands; interior layers: proportional bands —
-  // any exact partition preserves bitwise parity) and its WINDOW, grown
-  // backward so each layer's window covers the input halo of the next
-  // layer's window. Chains with tiles == 1 still compile (the walker
-  // skips them), keeping the install path uniform.
-  tile_chains_.clear();
-  chain_of_node_.assign(spec_.graph.size(), -1);
-  if (plan != nullptr) {
-    for (const TileChain& tc : plan->tiles.chains) {
-      ChainExec chain;
-      chain.nodes = tc.nodes;
-      chain.tiles = tc.tiles;
-      const std::size_t depth = tc.nodes.size();
-      chain.layers.resize(depth);
-      const int exit_h =
-          spec_.graph.node(tc.nodes.back()).spec.out_shape.h;
-      for (int t = 0; t < tc.tiles; ++t) {
-        // Exit layer: window == owned band.
-        {
-          ChainLayerWindows& lw = chain.layers[depth - 1];
-          const int o0 = t * tc.tile_rows;
-          const int o1 = std::min(exit_h, o0 + tc.tile_rows);
-          lw.own0.push_back(o0);
-          lw.own1.push_back(o1);
-          lw.win0.push_back(o0);
-          lw.win1.push_back(o1);
-        }
-        for (std::size_t j = depth - 1; j-- > 0;) {
-          const LayerSpec& next_ls =
-              spec_.graph.node(tc.nodes[j + 1]).spec;
-          const ChainLayerWindows& next = chain.layers[j + 1];
-          const int h =
-              spec_.graph.node(tc.nodes[j]).spec.out_shape.h;
-          const int o0 = static_cast<int>(
-              static_cast<std::int64_t>(h) * t / tc.tiles);
-          const int o1 = static_cast<int>(
-              static_cast<std::int64_t>(h) * (t + 1) / tc.tiles);
-          const int in0 = std::clamp(
-              next.win0.back() * next_ls.conv.stride - next_ls.conv.padding,
-              0, h);
-          const int in1 = std::clamp(
-              (next.win1.back() - 1) * next_ls.conv.stride -
-                  next_ls.conv.padding + next_ls.conv.kernel,
-              0, h);
-          ChainLayerWindows& lw = chain.layers[j];
-          lw.own0.push_back(o0);
-          lw.own1.push_back(o1);
-          lw.win0.push_back(std::min(o0, in0));
-          lw.win1.push_back(std::max(o1, in1));
-        }
-      }
-      for (const int id : chain.nodes) {
-        chain_of_node_[static_cast<std::size_t>(id)] =
-            static_cast<int>(tile_chains_.size());
-      }
-      tile_chains_.push_back(std::move(chain));
     }
   }
   return previous;
@@ -401,237 +300,6 @@ void FunctionalNetwork::densify_samples(
                         first[0].width()});
   for (std::size_t n = 0; n < samples.size(); ++n) {
     sparse::channels_into_slice(samples[n], out, static_cast<int>(n));
-  }
-}
-
-namespace {
-
-/// Span of the entries with row in [row0, row1) inside a row-major
-/// sorted entry list (the owned-band commit of the tiled chain walker).
-[[nodiscard]] std::span<const sparse::CooEntry> owned_entries(
-    const std::vector<sparse::CooEntry>& entries, int row0, int row1) {
-  const auto row_less = [](const sparse::CooEntry& e, int r) {
-    return e.row < r;
-  };
-  const auto lo =
-      std::lower_bound(entries.begin(), entries.end(), row0, row_less);
-  const auto hi = std::lower_bound(lo, entries.end(), row1, row_less);
-  return {entries.data() + (lo - entries.begin()),
-          static_cast<std::size_t>(hi - lo)};
-}
-
-}  // namespace
-
-bool FunctionalNetwork::chain_routes_active(
-    const ChainExec& chain) const noexcept {
-  if (chain.tiles <= 1) return false;
-  for (const int id : chain.nodes) {
-    if (effective_route(static_cast<std::size_t>(id)) == Route::kDense) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
-  const std::size_t depth = chain.nodes.size();
-  sparse::TileScratch& ts = workspace_.tile_scratch(0);
-  const int head_parent =
-      spec_.graph.node(chain.nodes.front()).parents.front();
-  const std::vector<sparse::SparseSample>& chain_input =
-      sparse_value(head_parent);
-  const std::size_t batch = chain_input.size();
-
-  // Per-member prologue: clear the owned-entry accumulators, open the
-  // banded LIF timestep, and count the execution ONCE per node (tiles
-  // are fragments of one logical node execution).
-  chain.acc.resize(depth);
-  for (std::size_t j = 0; j < depth; ++j) {
-    const auto idx = static_cast<std::size_t>(chain.nodes[j]);
-    const int channels =
-        spec_.graph.node(chain.nodes[j]).spec.out_shape.c;
-    auto& acc_j = chain.acc[j];
-    acc_j.resize(batch);
-    for (auto& per_sample : acc_j) {
-      per_sample.resize(static_cast<std::size_t>(channels));
-      for (auto& entries : per_sample) entries.clear();
-    }
-    if (is_spiking_[idx]) lif_[idx].begin_step();
-    ++exec_stats_.node_executions;
-    ++exec_stats_.sparse_node_runs;
-  }
-
-  for (int tile = 0; tile < chain.tiles; ++tile) {
-    const std::vector<sparse::SparseSample>* input = &chain_input;
-    for (std::size_t j = 0; j < depth; ++j) {
-      const int node_id = chain.nodes[j];
-      const auto idx = static_cast<std::size_t>(node_id);
-      const LayerSpec& ls = spec_.graph.node(node_id).spec;
-      const ChainLayerWindows& lw = chain.layers[j];
-      const sparse::RowWindow window{lw.win0[tile], lw.win1[tile]};
-      const int own0 = lw.own0[tile];
-      const int own1 = lw.own1[tile];
-      std::uint64_t obs_t0 = 0;
-      if (exec_observer_ != nullptr) obs_t0 = exec_now_ns();
-      const Route route = node_route_[idx];
-      const quant::NodeQuantPlan* nq = node_quant(idx);
-      std::vector<sparse::SparseSample>& out_carrier = ts.carriers[j % 2];
-      sparse::ConvWork work;
-      if (is_spiking_[idx]) {
-        // Synaptic current over the window rows, then the banded LIF
-        // step: the same current -> spike arithmetic as the untiled
-        // spiking dispatch, restricted to the tile's rows.
-        if (nq == nullptr && route == Route::kCsr &&
-            scatter_current_route(ls.conv)) {
-          sparse::sparse_conv2d_window_into(*input, weights_[idx],
-                                            biases_[idx], ls.conv, window,
-                                            ts.current_window, &work);
-        } else {
-          std::vector<sparse::SparseSample> current;
-          if (nq != nullptr) {
-            current.resize(batch);
-            for (std::size_t n = 0; n < batch; ++n) {
-              current[n] =
-                  route == Route::kSubmanifold
-                      ? quant::int8_submanifold_conv2d(
-                            (*input)[n], nq->weights, biases_[idx],
-                            nq->input_scale, &work, &workspace_, &window)
-                      : quant::int8_sparse_conv2d_csr(
-                            (*input)[n], nq->weights, biases_[idx],
-                            nq->input_scale, &work, &workspace_, &window);
-            }
-          } else {
-            const std::vector<float>& packed =
-                workspace_.packed_slot(static_cast<int>(idx));
-            current =
-                route == Route::kSubmanifold
-                    ? sparse::submanifold_conv2d_batch_window(
-                          *input, weights_[idx], biases_[idx], ls.conv,
-                          window, &work, &workspace_,
-                          sparse::SubmanifoldThreading::kAuto, packed)
-                    : sparse::sparse_conv2d_csr_batch_window(
-                          *input, weights_[idx], biases_[idx], ls.conv,
-                          window, &work, &workspace_,
-                          sparse::SubmanifoldThreading::kAuto, packed);
-          }
-          // Densify the window (zero fill == the zero-bias dense fill
-          // sparse routes require, so this matches the untiled densify).
-          const int rows = window.out_row1 - window.out_row0;
-          ts.current_window.reset(TensorShape{static_cast<int>(batch),
-                                              ls.out_shape.c, rows,
-                                              ls.out_shape.w});
-          std::fill(ts.current_window.data().begin(),
-                    ts.current_window.data().end(), 0.0f);
-          for (std::size_t n = 0; n < batch; ++n) {
-            for (int c = 0; c < ls.out_shape.c; ++c) {
-              for (const sparse::CooEntry& e :
-                   current[n][static_cast<std::size_t>(c)].entries()) {
-                ts.current_window.at(static_cast<int>(n), c,
-                                     e.row - window.out_row0, e.col) =
-                    e.value;
-              }
-            }
-          }
-        }
-        if (ts.spike_entries.size() < batch) {
-          ts.spike_entries.resize(batch);
-        }
-        for (auto& per_sample : ts.spike_entries) {
-          for (auto& entries : per_sample) entries.clear();
-        }
-        lif_[idx].step_rows(ts.current_window, window.out_row0, own0, own1,
-                            ts.spike_entries);
-        out_carrier.resize(batch);
-        for (std::size_t n = 0; n < batch; ++n) {
-          auto& sample = out_carrier[n];
-          sample.resize(static_cast<std::size_t>(ls.out_shape.c));
-          for (int c = 0; c < ls.out_shape.c; ++c) {
-            const auto& entries =
-                ts.spike_entries[n][static_cast<std::size_t>(c)];
-            const auto owned = owned_entries(entries, own0, own1);
-            auto& acc = chain.acc[j][n][static_cast<std::size_t>(c)];
-            acc.insert(acc.end(), owned.begin(), owned.end());
-            sample[static_cast<std::size_t>(c)] =
-                sparse::CooChannel::from_sorted_entries(
-                    ls.out_shape.h, ls.out_shape.w,
-                    std::vector<sparse::CooEntry>(entries.begin(),
-                                                  entries.end()));
-          }
-        }
-      } else {
-        if (nq != nullptr) {
-          out_carrier.resize(batch);
-          for (std::size_t n = 0; n < batch; ++n) {
-            out_carrier[n] =
-                route == Route::kSubmanifold
-                    ? quant::int8_submanifold_conv2d(
-                          (*input)[n], nq->weights, biases_[idx],
-                          nq->input_scale, &work, &workspace_, &window)
-                    : quant::int8_sparse_conv2d_csr(
-                          (*input)[n], nq->weights, biases_[idx],
-                          nq->input_scale, &work, &workspace_, &window);
-          }
-        } else {
-          const std::vector<float>& packed =
-              workspace_.packed_slot(static_cast<int>(idx));
-          out_carrier =
-              route == Route::kSubmanifold
-                  ? sparse::submanifold_conv2d_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv,
-                        window, &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed)
-                  : sparse::sparse_conv2d_csr_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv,
-                        window, &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed);
-        }
-        if (ls.relu_after) {
-          for (sparse::SparseSample& sample : out_carrier) {
-            sparse::relu_sample_inplace(sample);
-          }
-        }
-        for (std::size_t n = 0; n < batch; ++n) {
-          for (int c = 0; c < ls.out_shape.c; ++c) {
-            const auto owned = owned_entries(
-                out_carrier[n][static_cast<std::size_t>(c)].entries(), own0,
-                own1);
-            auto& acc = chain.acc[j][n][static_cast<std::size_t>(c)];
-            acc.insert(acc.end(), owned.begin(), owned.end());
-          }
-        }
-      }
-      exec_stats_.sparse_macs += work.sparse_macs;
-      exec_stats_.dense_macs_avoided += work.dense_macs;
-      if (exec_observer_ != nullptr) {
-        exec_observer_->on_node(node_id, route, timestep, obs_t0,
-                                exec_now_ns(), tile, chain.tiles);
-      }
-      input = &out_carrier;
-    }
-  }
-
-  // Publish: the committed owned bands concatenate in tile order, so
-  // each channel's entry list is row-major sorted by construction and
-  // adopts O(1); spiking members publish the banded timestep.
-  for (std::size_t j = 0; j < depth; ++j) {
-    const auto idx = static_cast<std::size_t>(chain.nodes[j]);
-    const LayerSpec& ls = spec_.graph.node(chain.nodes[j]).spec;
-    if (is_spiking_[idx]) lif_[idx].end_step();
-    auto& out_samples = sparse_values_[idx];
-    out_samples.resize(batch);
-    for (std::size_t n = 0; n < batch; ++n) {
-      auto& sample = out_samples[n];
-      sample.resize(static_cast<std::size_t>(ls.out_shape.c));
-      for (int c = 0; c < ls.out_shape.c; ++c) {
-        auto& entries = chain.acc[j][n][static_cast<std::size_t>(c)];
-        sample[static_cast<std::size_t>(c)] =
-            sparse::CooChannel::from_sorted_entries(
-                ls.out_shape.h, ls.out_shape.w, std::move(entries));
-        entries = {};
-      }
-    }
-    sparse_valid_[idx] = 1;
-    dense_valid_[idx] = 0;
   }
 }
 
@@ -818,7 +486,6 @@ DenseTensor FunctionalNetwork::run_impl(
   std::vector<DenseTensor>& values = values_;
   exec_stats_ = ExecStats{};
   prepare_packed_weights();
-  for (ChainExec& chain : tile_chains_) chain.done_step = -1;
   // Spiking nodes feeding a sparse-routed consumer this run emit their
   // spikes as COO directly (step_sparse), skipping the consumer's
   // chain-head slice_to_channels re-scan of a spike tensor that was just
@@ -867,21 +534,6 @@ DenseTensor FunctionalNetwork::run_impl(
       if (t > 0 && cache_invariant && time_invariant_[idx] &&
           (dense_valid_[idx] || sparse_valid_[idx])) {
         continue;  // cached from t == 0
-      }
-      // Tiled chain dispatch: the chain head pulls every member through
-      // the tile walk in one shot; members then skip their slot in the
-      // node loop. A chain whose routes are demoted this run (or whose
-      // geometry is the degenerate 1 tile) falls through to the normal
-      // untiled per-node execution below.
-      if (!chain_of_node_.empty() && chain_of_node_[idx] >= 0) {
-        ChainExec& chain =
-            tile_chains_[static_cast<std::size_t>(chain_of_node_[idx])];
-        if (chain.done_step == t) continue;
-        if (node.id == chain.nodes.front() && chain_routes_active(chain)) {
-          run_tiled_chain(chain, t);
-          chain.done_step = t;
-          continue;
-        }
       }
       ++exec_stats_.node_executions;
       std::uint64_t obs_t0 = 0;

@@ -54,18 +54,17 @@ struct ExecStats {
   std::size_t dense_macs_avoided = 0;  ///< dense MACs the routes replaced
 };
 
-/// Per-node execution observer: on_node fires after every node the
+/// Per-node execution observer: on_node fires once after every node the
 /// engine actually executes (cache-skipped nodes never fire), with the
 /// route the node took, the timestep, and raw steady_clock nanosecond
-/// stamps bracketing the node's kernel (+ activation hook). Nodes inside
-/// a tiled chain fire once per tile fragment with `tile` in
-/// [0, tile_count); every other execution reports (0, 1) — so summing
-/// durations is always correct, and counting executions means counting
-/// tile == 0 calls. The engine holds the observer as a non-owning
-/// pointer and calls it from the run thread only; implementations must
-/// be noexcept and cheap — this sits inside the per-node loop. The obs
-/// layer's LayerProfiler builds per-layer execution profiles on top of
-/// this hook.
+/// stamps bracketing the node's kernel (+ activation hook). Every node
+/// runs as one piece, so the engine passes (tile, tile_count) == (0, 1)
+/// on every call; the two trailing parameters stay in the signature so
+/// existing observers keep compiling. The engine holds the observer as
+/// a non-owning pointer and calls it from the run thread only;
+/// implementations must be noexcept and cheap — this sits inside the
+/// per-node loop. The obs layer's LayerProfiler builds per-layer
+/// execution profiles on top of this hook.
 class ExecObserver {
  public:
   virtual ~ExecObserver() = default;
@@ -243,39 +242,6 @@ class FunctionalNetwork {
   void densify_samples(const std::vector<sparse::SparseSample>& samples,
                        sparse::DenseTensor& out);
 
-  // --- Tiled chain execution (exec_plan.hpp TilePlan) -------------------
-  /// Precomputed per-tile row geometry of one chain layer: OWNED output
-  /// rows (each global row owned by exactly one tile) and the WINDOW
-  /// rows actually computed (owned plus the halo later layers need),
-  /// indexed by tile.
-  struct ChainLayerWindows {
-    std::vector<int> own0, own1, win0, win1;
-  };
-  /// One installed TileChain, compiled against this graph: member node
-  /// ids, per-layer tile windows (halo growth resolved backward through
-  /// the chain's kernel extents and strides at install time), and the
-  /// per-layer owned-entry accumulators the walker commits into
-  /// (buffers reused across timesteps and runs).
-  struct ChainExec {
-    std::vector<int> nodes;
-    int tiles = 1;
-    std::vector<ChainLayerWindows> layers;
-    int done_step = -1;  ///< timestep this chain last ran (reset per run)
-    std::vector<std::vector<std::vector<std::vector<sparse::CooEntry>>>>
-        acc;  ///< [layer][sample][channel] committed entries
-  };
-  /// True when every chain member keeps its sparse route this run (any
-  /// demoted member — quant simulate, hook — runs the chain untiled).
-  [[nodiscard]] bool chain_routes_active(
-      const ChainExec& chain) const noexcept;
-  /// Executes one timestep of `chain` tile by tile: each exit-row band
-  /// is pushed through every chain layer (windowed kernels, banded LIF
-  /// stepping) before the next band starts; owned output rows are
-  /// committed per layer and published as the nodes' COO carriers.
-  /// Bitwise identical to the untiled per-node execution of the same
-  /// nodes for every tile geometry.
-  void run_tiled_chain(ChainExec& chain, int timestep);
-
   NetworkSpec spec_;
   std::vector<sparse::DenseTensor> weights_;   // per node (empty if none)
   std::vector<std::vector<float>> biases_;     // per node
@@ -308,10 +274,6 @@ class FunctionalNetwork {
   std::vector<std::vector<sparse::SparseSample>> sparse_values_;
   std::vector<std::uint8_t> dense_valid_;
   std::vector<std::uint8_t> sparse_valid_;
-  // Tiled chains compiled from the plan's TilePlan at install time, plus
-  // the node -> chain index (-1 outside every chain).
-  std::vector<ChainExec> tile_chains_;
-  std::vector<int> chain_of_node_;
   // Spiking nodes whose spikes feed a sparse-routed consumer this run
   // emit COO directly (LifState::step_sparse) instead of a dense spike
   // tensor the consumer would immediately re-scan; `spike_staging_` is

@@ -19,11 +19,6 @@ std::string to_string(Route route) {
   return "?";
 }
 
-bool TilePlan::enabled() const noexcept {
-  return std::any_of(chains.begin(), chains.end(),
-                     [](const TileChain& c) { return c.tiles > 1; });
-}
-
 int ExecutionPlan::sparse_node_count() const noexcept {
   int count = 0;
   for (const Route r : route) {
@@ -197,92 +192,10 @@ namespace {
                           ? Route::kSubmanifold
                           : Route::kCsr;
   }
-  plan.tiles = build_tile_plan(spec, plan, options.tile);
   return plan;
 }
 
 }  // namespace
-
-TilePlan build_tile_plan(const NetworkSpec& spec, const ExecutionPlan& plan,
-                         const TileOptions& options) {
-  TilePlan tiles;
-  if (plan.route.empty()) return tiles;
-
-  // Choose tile geometry for one closed chain and record it.
-  const auto close_chain = [&](std::vector<int> nodes) {
-    const LayerSpec& exit_ls =
-        spec.graph.node(nodes.back()).spec;
-    const int exit_h = exit_ls.out_shape.h;
-    TileChain chain;
-    chain.nodes = std::move(nodes);
-    chain.tile_rows = std::max(exit_h, 1);
-    chain.tiles = 1;
-    if (options.enable && exit_h > 0) {
-      if (options.forced_tile_rows > 0) {
-        chain.tile_rows = std::min(options.forced_tile_rows, exit_h);
-        chain.tiles = (exit_h + chain.tile_rows - 1) / chain.tile_rows;
-      } else if (chain.nodes.size() >= 2) {
-        // Cache-capacity model: bytes of chain activation state touched
-        // per exit-layer output row, scaled by each layer's row ratio.
-        // Spiking layers triple-count (dense current window + U[t-1]
-        // read + U[t] write); weights (packed [tap][oc] form) are a
-        // fixed per-tile charge.
-        std::size_t fixed_bytes = 0;
-        double row_bytes = 0.0;
-        for (const int id : chain.nodes) {
-          const LayerSpec& ls = spec.graph.node(id).spec;
-          fixed_bytes += static_cast<std::size_t>(ls.conv.in_channels) *
-                         static_cast<std::size_t>(ls.conv.kernel) *
-                         static_cast<std::size_t>(ls.conv.kernel) *
-                         static_cast<std::size_t>(ls.conv.out_channels) *
-                         sizeof(float);
-          const double planes =
-              domain_of(ls.kind) == Domain::kSnn ? 3.0 : 1.0;
-          row_bytes += static_cast<double>(ls.out_shape.h) /
-                       static_cast<double>(exit_h) *
-                       static_cast<double>(ls.out_shape.n) *
-                       static_cast<double>(ls.out_shape.c) *
-                       static_cast<double>(ls.out_shape.w) * sizeof(float) *
-                       planes;
-        }
-        const double total = row_bytes * static_cast<double>(exit_h);
-        const double budget = static_cast<double>(options.l2_budget_bytes);
-        if (total + static_cast<double>(fixed_bytes) > budget) {
-          const double avail =
-              budget > static_cast<double>(fixed_bytes)
-                  ? budget - static_cast<double>(fixed_bytes)
-                  : budget * 0.25;
-          int count = static_cast<int>(std::ceil(total / avail));
-          count = std::clamp(count, 1, exit_h);
-          int rows = (exit_h + count - 1) / count;
-          // Halo floor: below ~8 exit rows the per-tile halo recompute
-          // overwhelms the locality win.
-          rows = std::max(rows, std::min(exit_h, 8));
-          chain.tile_rows = rows;
-          chain.tiles = (exit_h + rows - 1) / rows;
-        }
-      }
-    }
-    tiles.chains.push_back(std::move(chain));
-  };
-
-  std::vector<int> current;
-  for (const LayerNode& node : spec.graph.nodes()) {
-    const bool eligible = routable_kind(node.spec.kind) &&
-                          node.parents.size() == 1 &&
-                          plan.route_of(node.id) != Route::kDense;
-    if (eligible && !current.empty() && node.id == current.back() + 1 &&
-        node.parents.front() == current.back()) {
-      current.push_back(node.id);
-      continue;
-    }
-    if (!current.empty()) close_chain(std::move(current));
-    current.clear();
-    if (eligible) current.push_back(node.id);
-  }
-  if (!current.empty()) close_chain(std::move(current));
-  return tiles;
-}
 
 ExecutionPlan ExecutionPlanner::plan_from_densities(
     const FunctionalNetwork& net, std::span<const double> output_density,

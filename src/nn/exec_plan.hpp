@@ -44,45 +44,6 @@ enum class Route : std::uint8_t { kDense, kSubmanifold, kCsr };
 
 [[nodiscard]] std::string to_string(Route route);
 
-/// One tiled chain: a maximal run of consecutively-numbered,
-/// parent-linked sparse-routed conv nodes the engine executes tile by
-/// tile — each band of exit-layer output rows is pushed through the
-/// whole chain before the next band starts, so the chain's per-tile
-/// working set stays cache-resident instead of round-tripping full
-/// feature maps through DRAM (the streaming tile dataflow of the
-/// composable sparse-accelerator literature, on a CPU cache hierarchy).
-struct TileChain {
-  std::vector<int> nodes;  ///< consecutive node ids, each the next's parent
-  int tile_rows = 1;       ///< exit-layer output rows per tile
-  int tiles = 1;           ///< ceil(exit_h / tile_rows); 1 == untiled
-};
-
-/// Tiled execution geometry attached to an ExecutionPlan. Interior
-/// layers of a tile get proportional row bands grown backward through
-/// each conv's kernel/stride halo; a chain with tiles == 1 (or an empty
-/// plan) runs exactly today's layer-at-a-time execution. Tiling never
-/// changes results: FP32 outputs are bitwise identical to untiled
-/// execution for every tile size (see RowWindow in sparse_ops.hpp for
-/// why).
-struct TilePlan {
-  std::vector<TileChain> chains;
-
-  /// True when any chain actually tiles (tiles > 1).
-  [[nodiscard]] bool enabled() const noexcept;
-};
-
-/// Tile-geometry policy for build_tile_plan's cache-capacity model.
-struct TileOptions {
-  /// Per-tile working-set target. Default ~1 MiB: comfortably inside a
-  /// per-core L2 slice, leaving room for weights and the tap stream.
-  std::size_t l2_budget_bytes = 1u << 20;
-  /// Exit-layer rows per tile, overriding the cache model (tests and the
-  /// bench tile sweep). 0 = let the model pick.
-  int forced_tile_rows = 0;
-  /// Master switch: false pins every chain to 1 tile (== untiled).
-  bool enable = true;
-};
-
 /// A prepared per-node route assignment plus the density telemetry it was
 /// derived from. Installed on a FunctionalNetwork via
 /// set_execution_plan(); non-owning there, so the plan must outlive its
@@ -95,10 +56,6 @@ struct ExecutionPlan {
   std::vector<double> output_density;
   /// Density of the calibration probe's event input (telemetry).
   double probe_input_density = 0.0;
-  /// Tiled-chain geometry for the routed nodes (default-constructed ==
-  /// untiled). The planner attaches build_tile_plan's choice; callers
-  /// building plans by hand may leave it empty or fill it themselves.
-  TilePlan tiles;
 
   [[nodiscard]] int sparse_node_count() const noexcept;
 
@@ -119,16 +76,6 @@ struct ExecutionPlan {
   /// Human-readable route table (bench/debug output).
   [[nodiscard]] std::string describe(const NetworkSpec& spec) const;
 };
-
-/// Finds the sparse chains of `plan` over `spec` and chooses tile
-/// geometry for each from a cache-capacity model over the chain's
-/// channel widths (forced_tile_rows overrides). Chains whose whole
-/// working set fits the budget — and, under the model, single-node
-/// chains, which have no inter-layer reuse to win — get the degenerate
-/// 1-tile geometry.
-[[nodiscard]] TilePlan build_tile_plan(const NetworkSpec& spec,
-                                       const ExecutionPlan& plan,
-                                       const TileOptions& options = {});
 
 /// Planner policy knobs. All cost constants are in dense-GEMM-MAC
 /// units, fit to single-core measurements of the gather kernels on real
@@ -165,9 +112,6 @@ struct PlannerOptions {
   bool allow_submanifold = false;
   /// Input density assumed by cold_start() before any measurement.
   double cold_start_input_density = 0.02;
-  /// Tile-geometry policy handed to build_tile_plan for the routes the
-  /// planner chooses (every planner entry point attaches a TilePlan).
-  TileOptions tile;
 };
 
 /// How a sparse-routed spiking conv materializes its dense LIF current:

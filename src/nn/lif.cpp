@@ -84,39 +84,12 @@ void LifState::step_sparse(const DenseTensor& current, SpikeCoo& spikes_out) {
   if (!(current.shape() == shape_)) {
     throw std::invalid_argument("LIF step: input shape mismatch");
   }
-  spikes_out.clear();
-  begin_step();
-  step_rows(current, 0, 0, shape_.h, spikes_out);
-  end_step();
-}
-
-void LifState::begin_step() {
-  // reset() reuses the buffer; contents are don't-care — every element
-  // is committed by exactly one owned band before the end_step() swap.
-  membrane_next_.reset(shape_);
-}
-
-void LifState::step_rows(const DenseTensor& current, int win_row0,
-                         int own_row0, int own_row1, SpikeCoo& spikes_out) {
-  const TensorShape& cs = current.shape();
-  if (cs.n != shape_.n || cs.c != shape_.c || cs.w != shape_.w ||
-      win_row0 < 0 || win_row0 + cs.h > shape_.h) {
-    throw std::invalid_argument("LIF step_rows: window outside the plane");
-  }
-  if (own_row0 < win_row0 || own_row1 > win_row0 + cs.h) {
-    throw std::invalid_argument("LIF step_rows: owned rows outside window");
-  }
+  spikes_out.assign(static_cast<std::size_t>(shape_.n),
+                    std::vector<std::vector<sparse::CooEntry>>(
+                        static_cast<std::size_t>(shape_.c)));
   const auto w = static_cast<std::size_t>(shape_.w);
   const auto plane = static_cast<std::size_t>(shape_.h) * w;
-  const auto win_plane = static_cast<std::size_t>(cs.h) * w;
-  if (spikes_out.size() < static_cast<std::size_t>(shape_.n)) {
-    spikes_out.resize(static_cast<std::size_t>(shape_.n));
-  }
   for (int n = 0; n < shape_.n; ++n) {
-    auto& per_channel = spikes_out[static_cast<std::size_t>(n)];
-    if (per_channel.size() < static_cast<std::size_t>(shape_.c)) {
-      per_channel.resize(static_cast<std::size_t>(shape_.c));
-    }
     for (int c = 0; c < shape_.c; ++c) {
       const float leak = channel_leak_.empty()
                              ? params_.leak
@@ -125,44 +98,29 @@ void LifState::step_rows(const DenseTensor& current, int win_row0,
           channel_threshold_.empty()
               ? params_.v_threshold
               : channel_threshold_[static_cast<std::size_t>(c)];
-      const std::size_t base_full =
+      const std::size_t base =
           (static_cast<std::size_t>(n) * static_cast<std::size_t>(shape_.c) +
            static_cast<std::size_t>(c)) *
           plane;
-      const std::size_t base_win =
-          (static_cast<std::size_t>(n) * static_cast<std::size_t>(shape_.c) +
-           static_cast<std::size_t>(c)) *
-          win_plane;
-      auto& out_entries = per_channel[static_cast<std::size_t>(c)];
-      for (int r = 0; r < cs.h; ++r) {
-        const int gr = win_row0 + r;
-        const bool owned = gr >= own_row0 && gr < own_row1;
-        const float* cur_row =
-            current.raw() + base_win + static_cast<std::size_t>(r) * w;
-        const float* u_prev =
-            membrane_.raw() + base_full + static_cast<std::size_t>(gr) * w;
-        float* u_next =
-            membrane_next_.raw() + base_full + static_cast<std::size_t>(gr) * w;
+      float* u = membrane_.raw() + base;
+      const float* in = current.raw() + base;
+      auto& entries =
+          spikes_out[static_cast<std::size_t>(n)][static_cast<std::size_t>(c)];
+      for (int y = 0; y < shape_.h; ++y) {
         for (int x = 0; x < shape_.w; ++x) {
-          float u = u_prev[static_cast<std::size_t>(x)] * leak +
-                    cur_row[static_cast<std::size_t>(x)];
-          const bool spike = u >= vth;
-          if (spike) {
-            out_entries.push_back(sparse::CooEntry{gr, x, 1.0f});
-            u = params_.soft_reset ? u - vth : 0.0f;
+          const std::size_t i = static_cast<std::size_t>(y) * w +
+                                static_cast<std::size_t>(x);
+          float v = u[i] * leak + in[i];
+          if (v >= vth) {
+            entries.push_back(sparse::CooEntry{y, x, 1.0f});
+            v = params_.soft_reset ? v - vth : 0.0f;
+            ++spikes_;
           }
-          if (owned) {
-            u_next[static_cast<std::size_t>(x)] = u;
-            if (spike) ++spikes_;
-          }
+          u[i] = v;
         }
       }
     }
   }
-}
-
-void LifState::end_step() {
-  std::swap(membrane_, membrane_next_);
   ++steps_;
 }
 

@@ -23,10 +23,10 @@ namespace evedge::nn {
 using sparse::DenseTensor;
 using sparse::TensorShape;
 
-/// Spike coordinates emitted by the sparse LIF stepping paths, indexed
-/// [sample][channel]; every entry's value is exactly 1.0f, so adopting
-/// them as CooChannels densifies to exactly the spike tensor step()
-/// would have returned.
+/// Spike coordinates emitted by LifState::step_sparse, indexed
+/// [sample][channel] in row-major order; every entry's value is exactly
+/// 1.0f, so adopting them as CooChannels densifies to exactly the spike
+/// tensor step() would have returned.
 using SpikeCoo = std::vector<std::vector<std::vector<sparse::CooEntry>>>;
 
 /// Shared (layer-wide) LIF parameters.
@@ -52,38 +52,13 @@ class LifState {
   /// binary spike tensor (values 0 or 1).
   [[nodiscard]] DenseTensor step(const DenseTensor& current);
 
-  /// Sparse-output twin of step(): advances one full timestep and emits
-  /// spike coordinates into `spikes_out` (cleared and resized to
-  /// [n][c]) instead of materializing the dense spike tensor — the
+  /// Sparse-output twin of step(): advances one timestep in place and
+  /// emits spike coordinates into `spikes_out` (reset to [n][c] empty
+  /// lists) instead of materializing the dense spike tensor — the
   /// chain-head sparsify scan the engine otherwise pays per spiking
   /// node. Membrane updates, spike decisions and firing counters are
   /// bitwise/exactly identical to step()'s.
   void step_sparse(const DenseTensor& current, SpikeCoo& spikes_out);
-
-  // --- Tiled stepping (engine chain walker) --------------------------
-  // One timestep is split into row bands: begin_step() once, then
-  // step_rows() for every band (bands' OWNED rows must partition
-  // [0, shape().h) exactly once per timestep; halo rows may be
-  // recomputed read-only by several bands), then end_step() once.
-  // U[t-1] stays intact in membrane_ for the whole timestep (halo rows
-  // of later tiles re-read it), owned rows write U[t] into the back
-  // buffer, and end_step() swaps — so per-element arithmetic is
-  // identical to step() no matter how the plane is banded.
-
-  /// Prepares the back membrane buffer for a banded timestep.
-  void begin_step();
-
-  /// Processes window rows [win_row0, win_row0 + current.shape().h) of
-  /// the plane from the dense current window (`current` row 0 = global
-  /// row win_row0). Spike entries for ALL window rows are appended to
-  /// `spikes_out[n][c]` (resized if needed, never cleared); membrane
-  /// commits and firing counters apply to rows [own_row0, own_row1)
-  /// only.
-  void step_rows(const DenseTensor& current, int win_row0, int own_row0,
-                 int own_row1, SpikeCoo& spikes_out);
-
-  /// Publishes the banded timestep (buffer swap, step counter).
-  void end_step();
 
   /// Zeroes the membrane potential (new input sequence).
   void reset() noexcept;
@@ -102,7 +77,6 @@ class LifState {
   std::vector<float> channel_leak_;
   std::vector<float> channel_threshold_;
   DenseTensor membrane_;
-  DenseTensor membrane_next_;  ///< back buffer for banded timesteps
   std::uint64_t steps_ = 0;
   std::uint64_t spikes_ = 0;
 };

@@ -20,16 +20,13 @@ LayerProfiler::LayerProfiler(const nn::NetworkSpec& spec, bool emit_spans)
 
 void LayerProfiler::on_node(int node_id, nn::Route route, int timestep,
                             std::uint64_t t0_ns, std::uint64_t t1_ns,
-                            int tile, int tile_count) noexcept {
+                            int /*tile*/, int /*tile_count*/) noexcept {
   const auto idx = static_cast<std::size_t>(node_id);
   if (idx >= names_.size()) return;
   const std::uint64_t dur = t1_ns >= t0_ns ? t1_ns - t0_ns : 0;
   Cell& cell =
       cells_[idx * kRoutes + static_cast<std::size_t>(route)];
-  // Tile fragments are slices of one logical node execution: only the
-  // first fragment counts a run, every fragment's wall time accumulates
-  // (so observed() keeps matching ExecStats::node_executions).
-  cell.runs += tile == 0 ? 1 : 0;
+  ++cell.runs;
   cell.total_ns += dur;
   cell.max_ns = std::max(cell.max_ns, dur);
   if (emit_spans_ && Tracer::enabled()) {
@@ -40,13 +37,8 @@ void LayerProfiler::on_node(int node_id, nn::Route route, int timestep,
             trace_epoch().time_since_epoch())
             .count());
     const std::uint64_t t0 = t0_ns >= base ? t0_ns - base : 0;
-    if (tile_count > 1) {
-      Tracer::span("node", names_[idx], t0, t0 + dur, "timestep",
-                   timestep, "tile", static_cast<std::int64_t>(tile));
-    } else {
-      Tracer::span("node", names_[idx], t0, t0 + dur, "timestep",
-                   timestep, "route", static_cast<std::int64_t>(route));
-    }
+    Tracer::span("node", names_[idx], t0, t0 + dur, "timestep",
+                 timestep, "route", static_cast<std::int64_t>(route));
   }
 }
 

@@ -33,10 +33,7 @@ struct NodeRouteProfile {
   int node_id = -1;
   std::string name;
   nn::Route route = nn::Route::kDense;
-  std::uint64_t runs = 0;      ///< node executions (per timestep; the
-                               ///< tile fragments of a tiled chain count
-                               ///< as ONE execution, with their wall
-                               ///< time summed)
+  std::uint64_t runs = 0;      ///< node executions (per timestep)
   std::uint64_t total_ns = 0;  ///< summed wall time
   std::uint64_t max_ns = 0;    ///< worst single execution
 
@@ -57,15 +54,13 @@ class LayerProfiler final : public nn::ExecObserver {
  public:
   /// `emit_spans`: also emit a "node"-category trace span per execution
   /// (timestep and route as args) — the per-node lane under the worker's
-  /// inference spans. Tiled chain members emit one span per tile
-  /// fragment, with the tile index as the second span arg instead of the
-  /// route, so traces show the cache-blocked interleaving.
+  /// inference spans.
   explicit LayerProfiler(const nn::NetworkSpec& spec,
                          bool emit_spans = false);
 
   void on_node(int node_id, nn::Route route, int timestep,
-               std::uint64_t t0_ns, std::uint64_t t1_ns, int tile,
-               int tile_count) noexcept override;
+               std::uint64_t t0_ns, std::uint64_t t1_ns, int /*tile*/,
+               int /*tile_count*/) noexcept override;
 
   /// Rows for every (node, route) cell that ran at least once, node-id
   /// major. Call after the run thread quiesced.

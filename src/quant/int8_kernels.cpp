@@ -546,17 +546,12 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
                                          std::span<const float> bias,
                                          Int8Scale input_scale,
                                          bool submanifold, ConvWork* work,
-                                         Workspace* workspace,
-                                         const sparse::RowWindow* window =
-                                             nullptr) {
+                                         Workspace* workspace) {
   Workspace local;
   Workspace& arena = workspace != nullptr ? *workspace : local;
   sparse::ConvScratch& s = arena.scratch(0);
-  // Windowing lives entirely in the shared front half: the tap stream is
-  // restricted to the window sites, and the int8 reduction below is
-  // per-site arithmetic over whatever stream it gets.
   const GatherGeometry geo = sparse::build_gather_taps(
-      input, weights.fake, bias, weights.spec, submanifold, s, window);
+      input, weights.fake, bias, weights.spec, submanifold, s);
 
   // Quantize the shared tap stream once; every channel block reuses it.
   s.qtaps.resize(s.taps.size());
@@ -657,12 +652,7 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
                                                   std::move(entries)));
   }
   if (work != nullptr) {
-    int mac_rows = geo.out_h;
-    if (window != nullptr) {
-      const int w0 = std::clamp(window->out_row0, 0, geo.out_h);
-      mac_rows = std::clamp(window->out_row1, w0, geo.out_h) - w0;
-    }
-    work->dense_macs += static_cast<std::size_t>(mac_rows) *
+    work->dense_macs += static_cast<std::size_t>(geo.out_h) *
                         static_cast<std::size_t>(geo.out_w) * oc_n *
                         weights.patch;
     work->sparse_macs += s.taps.size() * oc_n;
@@ -676,17 +666,17 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
 std::vector<CooChannel> int8_submanifold_conv2d(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
-    Workspace* workspace, const sparse::RowWindow* window) {
+    Workspace* workspace) {
   return int8_gather_conv(input, weights, bias, input_scale,
-                          /*submanifold=*/true, work, workspace, window);
+                          /*submanifold=*/true, work, workspace);
 }
 
 std::vector<CooChannel> int8_sparse_conv2d_csr(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
-    Workspace* workspace, const sparse::RowWindow* window) {
+    Workspace* workspace) {
   return int8_gather_conv(input, weights, bias, input_scale,
-                          /*submanifold=*/false, work, workspace, window);
+                          /*submanifold=*/false, work, workspace);
 }
 
 }  // namespace evedge::quant

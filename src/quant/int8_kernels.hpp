@@ -124,23 +124,18 @@ void int8_transposed_conv2d_into(const DenseTensor& input,
 /// sparse_ops with quantized tap values reduced against the packed
 /// [tap][oc] int8 rows. At active sites the dequantized result is
 /// bitwise identical to int8_conv2d's (both compute the same exact
-/// integer sum and the same float requantization). `window`, when
-/// non-null, restricts the output to that row window (tiled chain
-/// walker); the int32 accumulation is exact, so windowed results equal
-/// full-plane results bitwise at every window site.
+/// integer sum and the same float requantization).
 [[nodiscard]] std::vector<CooChannel> int8_submanifold_conv2d(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    const sparse::RowWindow* window = nullptr);
+    ConvWork* work = nullptr, Workspace* workspace = nullptr);
 
 /// INT8 CSR-output strided sparse convolution (chains densify-free like
 /// sparse_conv2d_csr; bias lands at active sites only).
 [[nodiscard]] std::vector<CooChannel> int8_sparse_conv2d_csr(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    const sparse::RowWindow* window = nullptr);
+    ConvWork* work = nullptr, Workspace* workspace = nullptr);
 
 // --- Engine precision plan ------------------------------------------------
 // FunctionalNetwork consumes a prepared QuantPlan (see calibrate.hpp for

@@ -88,4 +88,8 @@ double quantization_step(float max_abs_value, Precision precision) noexcept {
   return 0.0;
 }
 
+double output_quant_step(const sparse::DenseTensor& reference) {
+  return static_cast<double>(max_abs(reference.data())) / 127.0;
+}
+
 }  // namespace evedge::quant

@@ -61,4 +61,10 @@ void fake_quantize(sparse::DenseTensor& tensor, Precision precision) noexcept;
 [[nodiscard]] double quantization_step(float max_abs_value,
                                        Precision precision) noexcept;
 
+/// One quantization step of the int8 grid covering `reference`: the
+/// elementwise tolerance for comparing real-engine int8 output against
+/// its fake-quant reference (integer accumulation is exact and both
+/// paths share every rounding decision, so they differ by at most this).
+[[nodiscard]] double output_quant_step(const sparse::DenseTensor& reference);
+
 }  // namespace evedge::quant

@@ -38,12 +38,18 @@ class BatchCollator {
     return config_;
   }
 
+  /// Trace-clock stamp at which the last collected batch became ready —
+  /// where its collate.wait spans end and the worker's per-frame
+  /// frame.inference spans start. 0 when tracing was off.
+  [[nodiscard]] std::uint64_t ready_ns() const noexcept { return ready_ns_; }
+
  private:
   CollatorConfig config_;
   /// Per-frame pop timestamps of the batch being collected (tracing
   /// only) — scratch for the "collate.wait" lineage spans emitted when
   /// the batch is ready. One worker drives one collator, so no locking.
   std::vector<std::uint64_t> pop_ns_;
+  std::uint64_t ready_ns_ = 0;
 };
 
 }  // namespace evedge::serve

@@ -107,11 +107,14 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   if (batch.empty()) {
     throw std::invalid_argument("ServeWorker: empty batch");
   }
-  // Lineage anchor: per-frame inference spans start here, before batch
-  // prep (tensor adaptation, planner recalibration, precision rung) —
-  // all of it is work the frame waits on.
-  const std::uint64_t entry_ns =
-      obs::Tracer::enabled() ? obs::now_ns() : 0;
+  // Lineage anchor: per-frame inference spans start at the collator's
+  // batch-ready stamp, so they cover the handoff into this call as well
+  // as the batch prep below (tensor adaptation, planner recalibration,
+  // precision rung) — all of it is time the frame waits on, and the
+  // frame's hops tile its latency with no gap. Direct callers have no
+  // collator stamp; their spans start at entry.
+  std::uint64_t start_ns = std::exchange(batch_ready_ns_, 0);
+  if (start_ns == 0 && obs::Tracer::enabled()) start_ns = obs::now_ns();
   emit_progress_ = 0;
   const nn::NetworkSpec& spec = net_.spec();
   frames_.clear();
@@ -151,13 +154,13 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   stats_.samples += batch.size();
   if (quant_installed_) ++stats_.int8_batches;
 
-  // One "frame.inference" lineage span per lane (batch-entry -> t1,
+  // One "frame.inference" lineage span per lane (batch ready -> t1,
   // with (stream, seq) args) alongside the batch-level span above: the
   // per-frame view sums with queue.wait/collate.wait to the frame's
   // measured enqueue -> completion latency.
-  if (entry_ns != 0) {
+  if (start_ns != 0) {
     for (const ReadyFrame& ready : batch) {
-      obs::Tracer::span("worker", "frame.inference", entry_ns,
+      obs::Tracer::span("worker", "frame.inference", start_ns,
                         obs::to_trace_ns(t1), "stream", ready.stream_id,
                         "seq", ready.seq);
     }
@@ -169,14 +172,6 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
             t1 - batch[n].enqueue_tp).count();
     sink(batch[n], out, static_cast<int>(n), latency_us);
     ++emit_progress_;
-  }
-}
-
-void ServeWorker::serve(FrameQueue& queue, const ResultSink& sink) {
-  BatchCollator collator(config_.collator);
-  std::vector<ReadyFrame> batch;
-  while (collator.collect(queue, batch)) {
-    process_batch(batch, sink);
   }
 }
 
@@ -300,6 +295,7 @@ void ServeWorker::serve(FrameQueue& queue, const ServeHooks& hooks) {
           }
         }
       }
+      batch_ready_ns_ = collator.ready_ns();
       process_batch(batch, hooks.result);
       consecutive_failures_ = 0;
     } catch (...) {
@@ -322,23 +318,21 @@ ServeWorkerPool::ServeWorkerPool(const nn::FunctionalNetwork& prototype,
   }
 }
 
-template <typename ServeFn>
-void ServeWorkerPool::run_threads(FrameQueue& queue,
-                                  const ServeFn& serve_one) {
+void ServeWorkerPool::run(FrameQueue& queue, const ServeHooks& hooks) {
   // A throw on a worker thread must not std::terminate the process:
   // the first exception wins, the queue is closed so every sibling
   // drains out, and the error is rethrown on the joining thread
-  // (mirroring core::parallel_for's contract). Under supervision only
-  // unrecoverable errors reach this layer.
+  // (mirroring core::parallel_for's contract). Workers absorb batch
+  // failures, so only unrecoverable errors reach this layer.
   std::exception_ptr error;
   std::mutex error_mutex;
   std::vector<std::thread> threads;
   threads.reserve(workers_.size());
   for (const std::unique_ptr<ServeWorker>& worker : workers_) {
-    threads.emplace_back([&queue, &serve_one, &error, &error_mutex,
+    threads.emplace_back([&queue, &hooks, &error, &error_mutex,
                           w = worker.get()] {
       try {
-        serve_one(*w);
+        w->serve(queue, hooks);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -350,18 +344,6 @@ void ServeWorkerPool::run_threads(FrameQueue& queue,
   }
   for (std::thread& t : threads) t.join();
   if (error) std::rethrow_exception(error);
-}
-
-void ServeWorkerPool::run(FrameQueue& queue, const ResultSink& sink) {
-  run_threads(queue, [&queue, &sink](ServeWorker& w) {
-    w.serve(queue, sink);
-  });
-}
-
-void ServeWorkerPool::run(FrameQueue& queue, const ServeHooks& hooks) {
-  run_threads(queue, [&queue, &hooks](ServeWorker& w) {
-    w.serve(queue, hooks);
-  });
 }
 
 }  // namespace evedge::serve

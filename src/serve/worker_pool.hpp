@@ -14,13 +14,13 @@
 //    band; when the scene density drifts outside it, the worker re-runs
 //    calibration on the current batch and swaps routes in place.
 //
-// Supervision (the hooks-based serve path): a batch that throws does
-// not kill the worker thread. The worker restarts itself on a fresh
-// prototype clone, returns the batch's unemitted frames to the queue
-// front with an incremented attempt count, and sleeps an exponential
-// backoff before collating again. Frames whose attempt count exceeds
-// the retry budget are quarantined through the failure hook instead of
-// retried, so a deterministic poison frame cannot live-lock the pool.
+// Supervision: a batch that throws does not kill the worker thread.
+// The worker restarts itself on a fresh prototype clone, returns the
+// batch's unemitted frames to the queue front with an incremented
+// attempt count, and sleeps an exponential backoff before collating
+// again. Frames whose attempt count exceeds the retry budget are
+// quarantined through the failure hook instead of retried, so a
+// deterministic poison frame cannot live-lock the pool.
 // The degradation ladder (degrade.hpp) is read per batch: rung 2 widens
 // collated batches, rung 3 serves on a lazily calibrated uniform-int8
 // QuantPlan; stepping back down restores FP32 bitwise.
@@ -115,11 +115,6 @@ class ServeWorker {
   void process_batch(const std::vector<ReadyFrame>& batch,
                      const ResultSink& sink);
 
-  /// Unsupervised collation + inference loop until `queue` closes and
-  /// drains; the first exception aborts the worker (legacy path, kept
-  /// for direct embedding and tests).
-  void serve(FrameQueue& queue, const ResultSink& sink);
-
   /// Supervised loop: SLO shedding, fault injection, per-batch failure
   /// recovery with restart/retry/backoff, degradation-ladder response.
   /// Never throws for a batch failure; only unrecoverable errors (e.g.
@@ -179,6 +174,9 @@ class ServeWorker {
   quant::QuantPlan quant_plan_;
   std::int64_t batch_seq_ = 0;     ///< local batch attempt index
   std::size_t emit_progress_ = 0;  ///< lanes emitted of the current batch
+  /// The collator's batch-ready stamp for the next process_batch (0 when
+  /// untraced or when process_batch is called directly).
+  std::uint64_t batch_ready_ns_ = 0;
   int consecutive_failures_ = 0;
   WorkerServeStats stats_;
   /// Owned per-layer profiler, re-installed on every restart() clone.
@@ -192,14 +190,11 @@ class ServeWorkerPool {
   ServeWorkerPool(const nn::FunctionalNetwork& prototype, int n_workers,
                   const WorkerConfig& config);
 
-  /// Serves `queue` on one thread per worker until it closes and drains;
-  /// blocks until every worker exits. `sink` must be thread-safe.
-  /// Unsupervised: a worker exception closes the queue and rethrows.
-  void run(FrameQueue& queue, const ResultSink& sink);
-
-  /// Supervised serving (ServeWorker::serve(queue, hooks) per thread).
-  /// Batch failures are absorbed by the workers; only unrecoverable
-  /// errors close the queue and rethrow after all joins.
+  /// Serves `queue` on one thread per worker (ServeWorker::serve) until
+  /// it closes and drains; blocks until every worker exits. The hooks'
+  /// sinks must be thread-safe. Batch failures are absorbed by the
+  /// workers; only unrecoverable errors close the queue and rethrow
+  /// after all joins.
   void run(FrameQueue& queue, const ServeHooks& hooks);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -208,9 +203,6 @@ class ServeWorkerPool {
   }
 
  private:
-  template <typename ServeFn>
-  void run_threads(FrameQueue& queue, const ServeFn& serve_one);
-
   std::vector<std::unique_ptr<ServeWorker>> workers_;
 };
 

@@ -118,18 +118,6 @@ std::span<const CooEntry> CooChannel::row_span(std::int32_t row) const {
   return std::span<const CooEntry>(entries_.data() + lo, hi - lo);
 }
 
-std::span<const CooEntry> CooChannel::rows_span(std::int32_t row0,
-                                                std::int32_t row1) const {
-  row0 = std::max<std::int32_t>(row0, 0);
-  row1 = std::min<std::int32_t>(row1, height_);
-  if (row0 >= row1) return {};
-  const auto& ptr = row_ptr();
-  const auto lo = static_cast<std::size_t>(ptr[static_cast<std::size_t>(row0)]);
-  const auto hi =
-      static_cast<std::size_t>(ptr[static_cast<std::size_t>(row1)]);
-  return std::span<const CooEntry>(entries_.data() + lo, hi - lo);
-}
-
 double CooChannel::value_sum() const noexcept {
   double acc = 0.0;
   for (const CooEntry& e : entries_) acc += static_cast<double>(e.value);

@@ -74,13 +74,6 @@ class CooChannel {
   /// O(1) slice of the entries in row `row` (requires 0 <= row < height).
   [[nodiscard]] std::span<const CooEntry> row_span(std::int32_t row) const;
 
-  /// O(1) slice of the entries in rows [row0, row1), clamped to the
-  /// channel extents (empty when the clamped range is empty) — the
-  /// per-tile view the windowed kernels iterate. Shares row_span's lazy
-  /// row_ptr() cache and its concurrency caveat.
-  [[nodiscard]] std::span<const CooEntry> rows_span(std::int32_t row0,
-                                                    std::int32_t row1) const;
-
   /// Sum of all stored values.
   [[nodiscard]] double value_sum() const noexcept;
 

@@ -1,10 +1,8 @@
 #include "sparse/sparse_ops.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -109,58 +107,35 @@ void require_submanifold_geometry(std::span<const CooChannel> input,
   }
 }
 
-/// Input rows feeding output rows [out_row0, out_row1): the halo window,
-/// clamped to the input extents.
-[[nodiscard]] std::pair<int, int> halo_in_rows(const Conv2dSpec& spec,
-                                               int out_row0, int out_row1,
-                                               int in_h) {
-  const int in0 = std::max(0, out_row0 * spec.stride - spec.padding);
-  const int in1 = std::min(
-      in_h, (out_row1 - 1) * spec.stride - spec.padding + spec.kernel);
-  return {in0, std::max(in0, in1)};
-}
-
 /// Scatters one sample through the kernel into dense output plane(s) at
-/// `o` (per-channel plane = (out_row1 - out_row0) * out_w rows holding
-/// global output rows [out_row0, out_row1); bias already applied by the
-/// caller). Full-plane callers pass (0, out_h); windowed callers only
-/// pay for the halo-row entry slice of each channel. Returns the sparse
-/// MAC count.
+/// `o` (size out_channels * out_h * out_w, bias already applied by the
+/// caller). Returns the sparse MAC count.
 std::size_t scatter_sample(std::span<const CooChannel> input, const float* w,
                            std::size_t w_oc_stride, const Conv2dSpec& spec,
-                           int out_h, int out_w, float* o, int out_row0,
-                           int out_row1) {
-  const std::size_t out_plane = static_cast<std::size_t>(out_row1 - out_row0) *
-                                static_cast<std::size_t>(out_w);
-  const bool windowed = out_row0 > 0 || out_row1 < out_h;
+                           int out_h, int out_w, float* o) {
+  const std::size_t out_plane =
+      static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
   std::size_t sparse_macs = 0;
   for (int ic = 0; ic < spec.in_channels; ++ic) {
     const CooChannel& ch = input[static_cast<std::size_t>(ic)];
     const std::size_t w_ic_base = static_cast<std::size_t>(ic) *
                                   static_cast<std::size_t>(spec.kernel) *
                                   static_cast<std::size_t>(spec.kernel);
-    std::span<const CooEntry> entries = ch.entries();
-    if (windowed) {
-      const auto [in0, in1] =
-          halo_in_rows(spec, out_row0, out_row1, ch.height());
-      entries = ch.rows_span(in0, in1);
-    }
-    for (const CooEntry& e : entries) {
+    for (const CooEntry& e : ch.entries()) {
       // Scatter: output (oy, ox) sees input (r, c) through kernel tap
       // (ky, kx) iff oy*stride + ky - padding == r (same for x).
       for (int ky = 0; ky < spec.kernel; ++ky) {
         const int oy_num = e.row + spec.padding - ky;
         if (oy_num < 0 || oy_num % spec.stride != 0) continue;
         const int oy = oy_num / spec.stride;
-        if (oy < out_row0 || oy >= out_row1) continue;
+        if (oy >= out_h) continue;
         for (int kx = 0; kx < spec.kernel; ++kx) {
           const int ox_num = e.col + spec.padding - kx;
           if (ox_num < 0 || ox_num % spec.stride != 0) continue;
           const int ox = ox_num / spec.stride;
           if (ox >= out_w) continue;
           const std::size_t out_idx =
-              static_cast<std::size_t>(oy - out_row0) *
-                  static_cast<std::size_t>(out_w) +
+              static_cast<std::size_t>(oy) * static_cast<std::size_t>(out_w) +
               static_cast<std::size_t>(ox);
           const float* wp = w + w_ic_base +
                             static_cast<std::size_t>(ky) *
@@ -387,8 +362,7 @@ void reduce_sites(const ConvScratch& s, const float* packed_w,
 /// per-site reduction stays bitwise identical to the scatter result.
 GatherGeometry build_taps_impl(std::span<const CooChannel> input,
                                const Conv2dSpec& spec, bool submanifold,
-                               ConvScratch& s,
-                               const RowWindow* window = nullptr) {
+                               ConvScratch& s) {
   const int in_h = input[0].height();
   const int in_w = input[0].width();
   const int out_h = submanifold ? in_h
@@ -400,38 +374,19 @@ GatherGeometry build_taps_impl(std::span<const CooChannel> input,
   const std::size_t out_plane =
       static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
 
-  // Output-row window (full plane when no window): the enumeration drops
-  // scatter targets outside [o0, o1), and only the input halo rows that
-  // can reach the window are walked. Within the window, site and tap
-  // lists are identical to the full-plane build.
-  const int o0 = window != nullptr ? std::clamp(window->out_row0, 0, out_h)
-                                   : 0;
-  const int o1 = window != nullptr
-                     ? std::clamp(window->out_row1, o0, out_h)
-                     : out_h;
-  const bool windowed = o0 > 0 || o1 < out_h;
-  const auto [hin0, hin1] = halo_in_rows(spec, o0, o1, in_h);
-
   std::uint8_t* act = s.active_buffer(out_plane);
   s.sites.clear();
 
   // Submanifold output sites are the union of input active sites — mark
   // them up front so the enumeration below can restrict its targets.
-  // Windowed builds mark only the window rows (output rows == input rows
-  // for submanifold). Strided (CSR) sites are exactly the enumeration's
-  // scatter targets, so marking happens inside the single enumeration
-  // pass instead.
+  // Strided (CSR) sites are exactly the enumeration's scatter targets,
+  // so marking happens inside the single enumeration pass instead.
   std::size_t nnz_in = 0;
   for (int ic = 0; ic < spec.in_channels; ++ic) {
     const CooChannel& ch = input[static_cast<std::size_t>(ic)];
-    if (!submanifold) {
-      if (!windowed) nnz_in += ch.nnz();
-      continue;
-    }
-    const std::span<const CooEntry> mark_entries =
-        windowed ? ch.rows_span(o0, o1) : std::span<const CooEntry>(
-                                              ch.entries());
-    for (const CooEntry& e : mark_entries) {
+    nnz_in += ch.nnz();
+    if (!submanifold) continue;
+    for (const CooEntry& e : ch.entries()) {
       const std::size_t idx =
           static_cast<std::size_t>(e.row) * static_cast<std::size_t>(in_w) +
           static_cast<std::size_t>(e.col);
@@ -440,7 +395,6 @@ GatherGeometry build_taps_impl(std::span<const CooChannel> input,
         s.sites.push_back(static_cast<std::int32_t>(idx));
       }
     }
-    if (!windowed) nnz_in += ch.nnz();
   }
   // Row-major order keeps the output entries sorted; the rank map is the
   // inverse (flat output index -> position in the sorted site list).
@@ -468,12 +422,7 @@ GatherGeometry build_taps_impl(std::span<const CooChannel> input,
   const bool hoist_cols = spec.kernel <= kMaxHoist;
   for (int ic = 0; ic < spec.in_channels; ++ic) {
     const std::int32_t w_ic_base = ic * spec.kernel * spec.kernel;
-    const CooChannel& ch = input[static_cast<std::size_t>(ic)];
-    const std::span<const CooEntry> enum_entries =
-        windowed ? ch.rows_span(hin0, hin1)
-                 : std::span<const CooEntry>(ch.entries());
-    if (windowed) nnz_in += enum_entries.size();
-    for (const CooEntry& e : enum_entries) {
+    for (const CooEntry& e : input[static_cast<std::size_t>(ic)].entries()) {
       if (hoist_cols) {
         for (int kx = 0; kx < spec.kernel; ++kx) {
           const int ox_num = e.col + spec.padding - kx;
@@ -488,7 +437,7 @@ GatherGeometry build_taps_impl(std::span<const CooChannel> input,
         const int oy_num = e.row + spec.padding - ky;
         if (oy_num < 0 || oy_num % spec.stride != 0) continue;
         const int oy = oy_num / spec.stride;
-        if (oy < o0 || oy >= o1) continue;
+        if (oy >= out_h) continue;
         const std::size_t row_base =
             static_cast<std::size_t>(oy) * static_cast<std::size_t>(out_w);
         const std::int32_t w_ky_base = w_ic_base + ky * spec.kernel;
@@ -564,10 +513,8 @@ std::vector<CooChannel> gather_conv_sample(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
     ConvScratch& s, SubmanifoldThreading threading, int max_threads,
-    ConvWork* work, const float* shared_packed_w = nullptr,
-    const RowWindow* window = nullptr) {
-  const GatherGeometry geo =
-      build_taps_impl(input, spec, submanifold, s, window);
+    ConvWork* work, const float* shared_packed_w = nullptr) {
+  const GatherGeometry geo = build_taps_impl(input, spec, submanifold, s);
 
   const std::size_t sparse_macs =
       s.taps.size() * static_cast<std::size_t>(spec.out_channels);
@@ -593,12 +540,7 @@ std::vector<CooChannel> gather_conv_sample(
                                                   std::move(entries)));
   }
   if (work != nullptr) {
-    int mac_rows = geo.out_h;
-    if (window != nullptr) {
-      const int w0 = std::clamp(window->out_row0, 0, geo.out_h);
-      mac_rows = std::clamp(window->out_row1, w0, geo.out_h) - w0;
-    }
-    work->dense_macs += dense_mac_count(spec, mac_rows, geo.out_w);
+    work->dense_macs += dense_mac_count(spec, geo.out_h, geo.out_w);
     work->sparse_macs += sparse_macs;
     work->nnz_in += geo.nnz_in;
   }
@@ -653,7 +595,7 @@ std::vector<SparseSample> gather_conv_batch(
     std::span<const SparseSample> inputs, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
     ConvWork* work, Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> prepacked, const RowWindow* window = nullptr) {
+    std::span<const float> prepacked) {
   if (inputs.empty()) {
     throw std::invalid_argument("sparse conv batch: empty batch");
   }
@@ -688,7 +630,7 @@ std::vector<SparseSample> gather_conv_batch(
           out[static_cast<std::size_t>(i)] = gather_conv_sample(
               inputs[static_cast<std::size_t>(i)], weights, bias, spec,
               submanifold, scratch, threading, plan.inner_threads,
-              &per_sample[static_cast<std::size_t>(i)], packed_w, window);
+              &per_sample[static_cast<std::size_t>(i)], packed_w);
         }
       },
       plan.workers);
@@ -718,9 +660,8 @@ DenseTensor sparse_conv2d(std::span<const CooChannel> input,
 
   // weights are [oc][ic][ky][kx]: fixing (ic, ky, kx) leaves a constant
   // oc-stride walk of Cin*k*k elements.
-  const std::size_t sparse_macs =
-      scatter_sample(input, weights.raw(), weights.stride_n(), spec, out_h,
-                     out_w, o, 0, out_h);
+  const std::size_t sparse_macs = scatter_sample(
+      input, weights.raw(), weights.stride_n(), spec, out_h, out_w, o);
 
   if (work != nullptr) {
     work->dense_macs += dense_mac_count(spec, out_h, out_w);
@@ -732,16 +673,11 @@ DenseTensor sparse_conv2d(std::span<const CooChannel> input,
   return out;
 }
 
-namespace {
-
-/// Shared core of sparse_conv2d_batch_into (full plane) and
-/// sparse_conv2d_window_into (one output-row window): `out` is reset to
-/// [N, Cout, out_row1 - out_row0, out_w], slice row 0 = global output
-/// row out_row0.
-void scatter_batch_into(std::span<const SparseSample> inputs,
-                        const DenseTensor& weights, std::span<const float> bias,
-                        const Conv2dSpec& spec, int out_row0, int out_row1,
-                        DenseTensor& out, ConvWork* work) {
+void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
+                              const DenseTensor& weights,
+                              std::span<const float> bias,
+                              const Conv2dSpec& spec, DenseTensor& out,
+                              ConvWork* work) {
   if (inputs.empty()) {
     throw std::invalid_argument("sparse_conv2d_batch: empty batch");
   }
@@ -752,23 +688,17 @@ void scatter_batch_into(std::span<const SparseSample> inputs,
                                     spec.padding);
   const int out_w = conv_out_extent(in_w, spec.kernel, spec.stride,
                                     spec.padding);
-  out_row0 = std::clamp(out_row0, 0, out_h);
-  out_row1 = std::clamp(out_row1, out_row0, out_h);
-  const int win_rows = out_row1 - out_row0;
   const int n = static_cast<int>(inputs.size());
-  const bool windowed = win_rows < out_h;
 
-  out.reset(TensorShape{n, spec.out_channels, win_rows, out_w});
+  out.reset(TensorShape{n, spec.out_channels, out_h, out_w});
   const std::size_t out_plane =
-      static_cast<std::size_t>(win_rows) * static_cast<std::size_t>(out_w);
+      static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
   const std::size_t out_batch = out.stride_n();
   float* o = out.raw();
   const float* w = weights.raw();
   const std::size_t w_oc_stride = weights.stride_n();
 
   // Each sample owns a disjoint output slice — parallel over samples.
-  // (Windowed calls may build the lazy row index of an input channel;
-  // samples are worker-disjoint, so each channel has one writer.)
   std::vector<ConvWork> per_sample(inputs.size());
   core::parallel_for(0, n, [&](int i) {
     const SparseSample& sample = inputs[static_cast<std::size_t>(i)];
@@ -780,40 +710,12 @@ void scatter_batch_into(std::span<const SparseSample> inputs,
       fill_bias_planes(o_n, bias, spec.out_channels, out_plane);
     }
     ConvWork& cw = per_sample[static_cast<std::size_t>(i)];
-    cw.dense_macs = dense_mac_count(spec, win_rows, out_w);
-    cw.sparse_macs = scatter_sample(sample, w, w_oc_stride, spec, out_h,
-                                    out_w, o_n, out_row0, out_row1);
-    if (windowed) {
-      const auto [in0, in1] = halo_in_rows(spec, out_row0, out_row1, in_h);
-      for (const CooChannel& ch : sample) {
-        cw.nnz_in += ch.rows_span(in0, in1).size();
-      }
-    } else {
-      for (const CooChannel& ch : sample) cw.nnz_in += ch.nnz();
-    }
+    cw.dense_macs = dense_mac_count(spec, out_h, out_w);
+    cw.sparse_macs =
+        scatter_sample(sample, w, w_oc_stride, spec, out_h, out_w, o_n);
+    for (const CooChannel& ch : sample) cw.nnz_in += ch.nnz();
   });
   accumulate_work(work, per_sample);
-}
-
-}  // namespace
-
-void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
-                              const DenseTensor& weights,
-                              std::span<const float> bias,
-                              const Conv2dSpec& spec, DenseTensor& out,
-                              ConvWork* work) {
-  // Full plane: out_row1 clamps down to the computed output height.
-  scatter_batch_into(inputs, weights, bias, spec, 0,
-                     std::numeric_limits<int>::max(), out, work);
-}
-
-void sparse_conv2d_window_into(std::span<const SparseSample> inputs,
-                               const DenseTensor& weights,
-                               std::span<const float> bias,
-                               const Conv2dSpec& spec, RowWindow window,
-                               DenseTensor& out, ConvWork* work) {
-  scatter_batch_into(inputs, weights, bias, spec, window.out_row0,
-                     window.out_row1, out, work);
 }
 
 DenseTensor sparse_conv2d_batch(std::span<const SparseSample> inputs,
@@ -874,26 +776,6 @@ std::vector<SparseSample> sparse_conv2d_csr_batch(
                            work, workspace, threading, packed_weights);
 }
 
-std::vector<SparseSample> submanifold_conv2d_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work, Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> packed_weights) {
-  return gather_conv_batch(inputs, weights, bias, spec, /*submanifold=*/true,
-                           work, workspace, threading, packed_weights,
-                           &window);
-}
-
-std::vector<SparseSample> sparse_conv2d_csr_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work, Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> packed_weights) {
-  return gather_conv_batch(inputs, weights, bias, spec, /*submanifold=*/false,
-                           work, workspace, threading, packed_weights,
-                           &window);
-}
-
 void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed) {
   pack_weights(weights, packed);
 }
@@ -902,11 +784,10 @@ GatherGeometry build_gather_taps(std::span<const CooChannel> input,
                                  const DenseTensor& weights,
                                  std::span<const float> bias,
                                  const Conv2dSpec& spec, bool submanifold,
-                                 ConvScratch& scratch,
-                                 const RowWindow* window) {
+                                 ConvScratch& scratch) {
   validate_conv_inputs(input, weights, bias, spec);
   if (submanifold) require_submanifold_geometry(input, spec);
-  return build_taps_impl(input, spec, submanifold, scratch, window);
+  return build_taps_impl(input, spec, submanifold, scratch);
 }
 
 void clear_gather_scratch(std::span<const CooChannel> input,

@@ -52,20 +52,6 @@ struct ConvWork {
   std::size_t nnz_in = 0;       ///< input non-zeros
 };
 
-/// Output-row window for the tiled (cache-blocked) kernel variants: the
-/// kernel computes only output rows [out_row0, out_row1), reading the
-/// input halo rows [out_row0*stride - padding,
-/// (out_row1-1)*stride - padding + kernel) that reach them (clamped to
-/// the input extents). Windowed outputs keep GLOBAL coordinates and the
-/// full-plane extents; every produced element is bitwise identical to
-/// the same element of the full-plane call, because the per-site tap
-/// list and its (ic, ky, kx) reduction order depend only on which input
-/// entries exist in the halo — and the halo is complete by construction.
-struct RowWindow {
-  int out_row0 = 0;
-  int out_row1 = 0;  ///< exclusive
-};
-
 /// Sparse convolution: scatter each input non-zero through the kernel into
 /// a dense output [1, out_channels, out_h, out_w].
 /// `weights` is [out_channels, in_channels, k, k]; `bias` is per output
@@ -150,41 +136,6 @@ void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
                               const Conv2dSpec& spec, DenseTensor& out,
                               ConvWork* work = nullptr);
 
-// --- Tile-windowed variants (engine chain walker) -------------------------
-// Same kernels restricted to a RowWindow of output rows. Inputs may be
-// full planes or window carriers from an upstream windowed call, as long
-// as they contain every entry of the halo rows; entries outside the halo
-// are never read. Windowed calls slice per-tile input views through the
-// CooChannel row index (rows_span), so each input channel's row_ptr()
-// cache is built by the worker that owns the sample.
-
-/// Windowed submanifold_conv2d_batch: result[i] holds exactly the
-/// window-row entries of the full-plane call, full-plane extents kept.
-[[nodiscard]] std::vector<SparseSample> submanifold_conv2d_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// Windowed sparse_conv2d_csr_batch (same contract as above).
-[[nodiscard]] std::vector<SparseSample> sparse_conv2d_csr_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// Windowed dense-output scatter: `out` is reset to
-/// [N, out_channels, rows, out_w] where rows = out_row1 - out_row0 (row 0
-/// of each plane = global output row out_row0). Slice values are bitwise
-/// identical to the same rows of sparse_conv2d_batch_into's output.
-void sparse_conv2d_window_into(std::span<const SparseSample> inputs,
-                               const DenseTensor& weights,
-                               std::span<const float> bias,
-                               const Conv2dSpec& spec, RowWindow window,
-                               DenseTensor& out, ConvWork* work = nullptr);
-
 // --- Gather front-end (shared with alternative compute backends) ---------
 
 /// Output geometry of one gather-kernel invocation.
@@ -203,14 +154,11 @@ struct GatherGeometry {
 /// (the INT8 engine) can run their own reduction over the identical tap
 /// stream. `weights` is only used for shape validation. Callers MUST
 /// call clear_gather_scratch with the same input before reusing
-/// `scratch` for another sample. `window`, when non-null, restricts the
-/// geometry to that output-row window (tap lists bitwise identical to
-/// the full-plane call's for every window site); out_h stays the
-/// full-plane extent.
+/// `scratch` for another sample.
 [[nodiscard]] GatherGeometry build_gather_taps(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
-    ConvScratch& scratch, const RowWindow* window = nullptr);
+    ConvScratch& scratch);
 
 /// Restores the active bitmap of `scratch` to all-zero, touching only
 /// the sites build_gather_taps marked for `input`.

@@ -40,11 +40,6 @@ std::vector<float>& Workspace::packed_slot(int key) {
   return packed_slots_[key];
 }
 
-TileScratch& Workspace::tile_scratch(std::size_t slot) {
-  while (tile_pool_.size() < slot + 1) tile_pool_.emplace_back();
-  return tile_pool_[slot];
-}
-
 std::size_t Workspace::retained_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const auto& [key, packed] : packed_slots_) {
@@ -66,27 +61,11 @@ std::size_t Workspace::retained_bytes() const noexcept {
     bytes += s.qtaps.capacity() * sizeof(std::int16_t);
     bytes += s.iacc.capacity() * sizeof(std::int32_t);
   }
-  for (const TileScratch& t : tile_pool_) {
-    for (const auto& carrier : t.carriers) {
-      for (const auto& sample : carrier) {
-        for (const CooChannel& ch : sample) {
-          bytes += ch.entries().capacity() * sizeof(CooEntry);
-        }
-      }
-    }
-    bytes += t.current_window.data().size() * sizeof(float);
-    for (const auto& sample : t.spike_entries) {
-      for (const auto& entries : sample) {
-        bytes += entries.capacity() * sizeof(CooEntry);
-      }
-    }
-  }
   return bytes;
 }
 
 void Workspace::clear() noexcept {
   pool_.clear();
-  tile_pool_.clear();
   packed_slots_.clear();
 }
 

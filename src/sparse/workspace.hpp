@@ -15,14 +15,10 @@
 // samples must reserve slots up front via scratch(slot) — growing the
 // pool is not concurrency-safe — and hand each worker its own slot.
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <vector>
-
-#include "sparse/coo.hpp"
-#include "sparse/tensor.hpp"
 
 namespace evedge::sparse {
 
@@ -75,21 +71,6 @@ struct ConvScratch {
   [[nodiscard]] std::int32_t* iacc_buffer(std::size_t size);
 };
 
-/// Scratch for the engine's tiled chain walker: the ping/pong COO window
-/// carriers handed between consecutive chain layers, the dense current
-/// window spiking layers integrate from, and the spike-emission staging.
-/// All of it is sized to one tile's working set — that bound is the
-/// whole point of tiling — and reused across tiles, layers, timesteps
-/// and runs. Same one-thread-at-a-time contract as ConvScratch.
-struct TileScratch {
-  /// Per-sample window carriers; layer j reads carriers[(j+1) % 2] and
-  /// writes carriers[j % 2] (layer 0 reads the chain input instead).
-  std::array<std::vector<std::vector<CooChannel>>, 2> carriers;
-  DenseTensor current_window;  ///< [N, C, win_rows, W] spiking current
-  /// Spike staging for the windowed LIF pass, [sample][channel].
-  std::vector<std::vector<std::vector<CooEntry>>> spike_entries;
-};
-
 /// Arena of ConvScratch slots shared across layers and inference calls.
 class Workspace {
  public:
@@ -113,11 +94,6 @@ class Workspace {
     return pool_.size();
   }
 
-  /// Tile scratch slot `i` (one per concurrently walked chain; the
-  /// serial engine uses slot 0). Same stability/growth contract as
-  /// scratch().
-  [[nodiscard]] TileScratch& tile_scratch(std::size_t slot = 0);
-
   /// Total bytes currently retained across all slots (observability /
   /// tests; the arena never shrinks on its own).
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
@@ -128,7 +104,6 @@ class Workspace {
  private:
   // deque: slot references must survive pool growth.
   std::deque<ConvScratch> pool_;
-  std::deque<TileScratch> tile_pool_;
   // node-keyed packed-weight chains (unordered_map: stable references).
   std::unordered_map<int, std::vector<float>> packed_slots_;
 };

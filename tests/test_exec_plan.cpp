@@ -2,11 +2,12 @@
 // zoo-wide bitwise parity of planner-routed run()/run_batched() against
 // dense execution, CSR chain boundary accounting, submanifold stored-site
 // semantics, density telemetry agreement (hook, firing rate, thread
-// counts), plan validation atomicity, int8 composition and the
-// cost-model cold-start bridge.
+// counts), plan validation atomicity, int8 composition, the cost-model
+// cold-start bridge and the per-node observer contract.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <vector>
@@ -17,7 +18,8 @@
 #include "nn/exec_plan.hpp"
 #include "nn/zoo.hpp"
 #include "quant/accuracy.hpp"
-#include "quant/qnetwork.hpp"
+#include "quant/calibrate.hpp"
+#include "quant/quantizer.hpp"
 #include "sparse/sparse_frame.hpp"
 #include "sparse/sparse_ops.hpp"
 
@@ -92,19 +94,9 @@ struct Probe {
   return plan;
 }
 
-/// Rebuilds `plan`'s TilePlan with a forced exit-row size (clamped per
-/// chain), leaving the routes untouched.
-[[nodiscard]] en::ExecutionPlan with_forced_tiles(const en::NetworkSpec& spec,
-                                                  en::ExecutionPlan plan,
-                                                  int rows) {
-  en::TileOptions topt;
-  topt.forced_tile_rows = rows;
-  plan.tiles = en::build_tile_plan(spec, plan, topt);
-  return plan;
-}
-
-/// A three-deep spiking chain (middle conv strided): the shape the tile
-/// walker streams, with LIF state carried across tile boundaries.
+/// A three-deep spiking chain (middle conv strided): spikes flow between
+/// sparse-routed layers in COO form, with LIF state carried across
+/// timesteps.
 [[nodiscard]] en::NetworkSpec spiking_chain_spec() {
   en::NetworkSpec net;
   net.name = "schain3";
@@ -499,26 +491,38 @@ TEST(ExecutionPlan, ComposesWithQuantPlan) {
                                       en::ZooConfig::test_scale());
   const auto calib = eq::make_validation_set(spec, 2, 9, 0.02);
   const auto eval = eq::make_validation_set(spec, 1, 99, 0.02);
-  eq::QuantizedNetwork qnet(
-      spec, 7, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 7);
+  const auto table = eq::calibrate_activations(net, calib);
+  const auto int8 = eq::uniform_assignment(spec, eq::Precision::kInt8);
+  const auto real = eq::build_quant_plan(net, int8, table);
+  const auto simulated =
+      eq::build_quant_plan(net, int8, table, /*simulate=*/true);
 
-  const auto dense_int8 = qnet.run(eval[0].event_steps);
-  const auto reference = qnet.run_reference(eval[0].event_steps);
+  net.set_quant_plan(&real);
+  const auto dense_int8 = net.run(eval[0].event_steps);
+  net.set_quant_plan(&simulated);
+  const auto reference = net.run(eval[0].event_steps);
 
-  const auto& plan = qnet.plan_execution(eval[0].event_steps);
+  // The planner calibrates on an FP32 warmup, then routes compose with
+  // the real int8 plan.
+  net.set_quant_plan(nullptr);
+  const auto plan = en::ExecutionPlanner::calibrate(net, eval[0].event_steps);
   EXPECT_GT(plan.sparse_node_count(), 0);
-  EXPECT_TRUE(qnet.has_execution_plan());
-  const auto routed_int8 = qnet.run(eval[0].event_steps);
+  net.set_execution_plan(&plan);
+  EXPECT_NE(net.execution_plan(), nullptr);
+  net.set_quant_plan(&real);
+  const auto routed_int8 = net.run(eval[0].event_steps);
 
   ASSERT_EQ(routed_int8.shape(), dense_int8.shape());
   EXPECT_EQ(es::max_abs_diff(routed_int8, dense_int8), 0.0f);
   const double step = eq::output_quant_step(reference);
   EXPECT_LE(es::max_abs_diff(routed_int8, reference), step + 1e-6);
   // Sparse int8 kernels genuinely executed.
-  (void)qnet.run(eval[0].event_steps);
-  EXPECT_GT(qnet.network().last_exec_stats().sparse_node_runs, 0u);
-  qnet.clear_execution_plan();
-  EXPECT_FALSE(qnet.has_execution_plan());
+  (void)net.run(eval[0].event_steps);
+  EXPECT_GT(net.last_exec_stats().sparse_node_runs, 0u);
+  net.set_execution_plan(nullptr);
+  EXPECT_EQ(net.execution_plan(), nullptr);
+  net.set_quant_plan(nullptr);
 }
 
 // -------------------------------------------------- cold start + bridge
@@ -718,226 +722,6 @@ TEST(SparseBoundaries, PrePackedWeightsMatchAndValidate) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------ streaming tile dataflow
-
-class TiledParity : public ::testing::TestWithParam<en::NetworkId> {};
-
-// Tiled execution of the planner's sparse chains is bitwise identical to
-// untiled (and hence to dense) for every tile geometry — including
-// pathological 1-row tiles (maximum halo traffic) and the degenerate
-// full-frame tile (which must collapse back to the untiled walker).
-TEST_P(TiledParity, ForcedTileSizesMatchDenseBitwise) {
-  const auto spec = en::build_network(GetParam(), en::ZooConfig::test_scale());
-  en::FunctionalNetwork net(spec, 7);
-  const auto probe = make_probe(spec, 211, 0.02);
-
-  const auto dense_out = net.run(probe.steps, probe.image_ptr());
-  const auto base =
-      en::ExecutionPlanner::calibrate(net, probe.steps, probe.image_ptr());
-  net.set_execution_plan(&base);
-  (void)net.run(probe.steps, probe.image_ptr());
-  const std::size_t untiled_execs = net.last_exec_stats().node_executions;
-
-  // 1 = pathological row tiles, 3 = non-dividing interior boundaries,
-  // 1 << 20 clamps to the chain exit extent = degenerate single tile.
-  for (const int rows : {1, 3, 1 << 20}) {
-    const auto tiled = with_forced_tiles(spec, base, rows);
-    net.set_execution_plan(&tiled);
-    const auto out = net.run(probe.steps, probe.image_ptr());
-    EXPECT_EQ(es::max_abs_diff(out, dense_out), 0.0f)
-        << spec.name << " tile_rows=" << rows;
-    // Tile fragments count as one logical execution: the schedule-level
-    // stats are geometry-invariant.
-    EXPECT_EQ(net.last_exec_stats().node_executions, untiled_execs)
-        << spec.name << " tile_rows=" << rows;
-    net.set_execution_plan(nullptr);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, TiledParity,
-    ::testing::Values(en::NetworkId::kSpikeFlowNet,
-                      en::NetworkId::kFusionFlowNet,
-                      en::NetworkId::kAdaptiveSpikeNet, en::NetworkId::kDotie,
-                      en::NetworkId::kEvFlowNet),
-    [](const ::testing::TestParamInfo<en::NetworkId>& param_info) {
-      auto name = en::to_string(param_info.param);
-      for (char& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name;
-    });
-
-// Halo windows across a strided boundary: every tile size on the
-// stride-2 chain must reproduce dense bitwise. Strides make the
-// owned-row maps non-trivial (output row o needs input rows
-// [o*s - p, o*s - p + k)), so off-by-ones show up here first.
-TEST(TilePlan, HaloCorrectAcrossStrideBoundaries) {
-  const auto spec = chain_spec();  // c2 has stride 2: exit plane 16 rows
-  en::FunctionalNetwork net(spec, 5);
-  const auto probe = make_probe(spec, 221, 0.03);
-  const auto dense_out = net.run(probe.steps);
-
-  const auto base = all_csr_plan(spec, {1, 2, 3});
-  for (const int rows : {1, 2, 3, 5, 7, 16}) {
-    const auto tiled = with_forced_tiles(spec, base, rows);
-    ASSERT_EQ(tiled.tiles.chains.size(), 1u);
-    EXPECT_EQ(tiled.tiles.chains[0].tiles, (16 + rows - 1) / rows);
-    net.set_execution_plan(&tiled);
-    const auto out = net.run(probe.steps);
-    EXPECT_EQ(es::max_abs_diff(out, dense_out), 0.0f) << "tile_rows=" << rows;
-    net.set_execution_plan(nullptr);
-  }
-}
-
-// Spiking chains tile too: LIF membrane state is double-buffered per
-// timestep, so halo rows recomputed by neighbouring tiles never corrupt
-// the owned-row integration — bitwise, at every geometry.
-TEST(TilePlan, SpikingChainTilesBitwise) {
-  const auto spec = spiking_chain_spec();
-  en::FunctionalNetwork net(spec, 5);
-  const auto probe = make_probe(spec, 223, 0.05);
-  const auto dense_out = net.run(probe.steps);
-
-  const auto base = all_csr_plan(spec, {1, 2, 3});
-  for (const int rows : {1, 4, 6}) {
-    const auto tiled = with_forced_tiles(spec, base, rows);
-    ASSERT_TRUE(tiled.tiles.enabled());
-    net.set_execution_plan(&tiled);
-    const auto out = net.run(probe.steps);
-    EXPECT_EQ(es::max_abs_diff(out, dense_out), 0.0f) << "tile_rows=" << rows;
-    net.set_execution_plan(nullptr);
-  }
-}
-
-// The degenerate single-tile plan takes the untiled per-node path and
-// reports identical boundary accounting.
-TEST(TilePlan, DegenerateSingleTileIsUntiled) {
-  const auto spec = chain_spec();
-  en::FunctionalNetwork net(spec, 5);
-  const auto probe = make_probe(spec, 227, 0.02);
-
-  const auto base = all_csr_plan(spec, {1, 2, 3});
-  net.set_execution_plan(&base);
-  const auto untiled_out = net.run(probe.steps);
-  const auto untiled = net.last_exec_stats();
-
-  const auto degenerate = with_forced_tiles(spec, base, 1 << 20);
-  EXPECT_FALSE(degenerate.tiles.enabled());
-  net.set_execution_plan(&degenerate);
-  const auto out = net.run(probe.steps);
-  const auto stats = net.last_exec_stats();
-  net.set_execution_plan(nullptr);
-
-  EXPECT_EQ(es::max_abs_diff(out, untiled_out), 0.0f);
-  EXPECT_EQ(stats.sparse_node_runs, untiled.sparse_node_runs);
-  EXPECT_EQ(stats.sparsify_boundaries, untiled.sparsify_boundaries);
-  EXPECT_EQ(stats.densify_boundaries, untiled.densify_boundaries);
-  EXPECT_EQ(stats.sparse_macs, untiled.sparse_macs);
-}
-
-// The cache-capacity model tiles multi-layer chains once the working set
-// exceeds the budget — and never a lone layer (no reuse to create).
-TEST(TilePlan, CapacityModelTilesLongChainsUnderTinyBudget) {
-  const auto spec = chain_spec();
-  en::FunctionalNetwork net(spec, 5);
-  const auto probe = make_probe(spec, 231, 0.02);
-  const auto dense_out = net.run(probe.steps);
-
-  en::TileOptions tiny;
-  tiny.l2_budget_bytes = 1u << 12;  // 4 KiB: everything overflows
-  auto plan = all_csr_plan(spec, {1, 2, 3});
-  plan.tiles = en::build_tile_plan(spec, plan, tiny);
-  ASSERT_TRUE(plan.tiles.enabled());
-  for (const en::TileChain& chain : plan.tiles.chains) {
-    if (chain.tiles > 1) EXPECT_GE(chain.nodes.size(), 2u);
-  }
-  net.set_execution_plan(&plan);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), dense_out), 0.0f);
-  net.set_execution_plan(nullptr);
-
-  // A lone sparse layer never auto-tiles: there is no cross-layer reuse
-  // for tiling to create, however tight the budget.
-  const auto lone = all_csr_plan(spec, {1});
-  EXPECT_FALSE(en::build_tile_plan(spec, lone, tiny).enabled());
-
-  // Disabling tiling yields the all-degenerate plan regardless of budget.
-  en::TileOptions off;
-  off.l2_budget_bytes = 1;
-  off.enable = false;
-  EXPECT_FALSE(en::build_tile_plan(spec, plan, off).enabled());
-}
-
-// Malformed tile plans are rejected atomically, before any engine state
-// changes — same contract as route validation.
-TEST(TilePlan, SetPlanValidatesTileChains) {
-  const auto spec = chain_spec();
-  en::FunctionalNetwork net(spec, 5);
-  const auto probe = make_probe(spec, 233, 0.02);
-  const auto before = net.run(probe.steps);
-
-  const auto base = all_csr_plan(spec, {1, 2, 3});
-
-  // A dense-routed member cannot be tiled.
-  en::ExecutionPlan dense_member = base;
-  dense_member.route[2] = en::Route::kDense;
-  dense_member.tiles.chains.push_back(en::TileChain{{1, 2, 3}, 4, 4});
-  EXPECT_THROW(net.set_execution_plan(&dense_member), std::invalid_argument);
-
-  // Geometry must be consistent: tiles == ceil(exit_rows / tile_rows).
-  en::ExecutionPlan bad_geom = base;
-  bad_geom.tiles.chains.push_back(en::TileChain{{1, 2, 3}, 4, 3});
-  EXPECT_THROW(net.set_execution_plan(&bad_geom), std::invalid_argument);
-
-  // Chains cannot overlap.
-  en::ExecutionPlan overlap = base;
-  overlap.tiles.chains.push_back(en::TileChain{{1, 2}, 16, 1});
-  overlap.tiles.chains.push_back(en::TileChain{{2, 3}, 8, 1});
-  EXPECT_THROW(net.set_execution_plan(&overlap), std::invalid_argument);
-
-  // Members must be consecutive parent-linked nodes.
-  en::ExecutionPlan gap = base;
-  gap.tiles.chains.push_back(en::TileChain{{1, 3}, 8, 2});
-  EXPECT_THROW(net.set_execution_plan(&gap), std::invalid_argument);
-
-  // Node ids must be in range.
-  en::ExecutionPlan range = base;
-  range.tiles.chains.push_back(en::TileChain{{99}, 1, 1});
-  EXPECT_THROW(net.set_execution_plan(&range), std::invalid_argument);
-
-  // All rejections left execution fully intact.
-  EXPECT_EQ(net.execution_plan(), nullptr);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), before), 0.0f);
-}
-
-// Tiled int8 execution: bitwise identical to dense int8, and within one
-// quantization step of the fake-quant reference — tiling composes with
-// the quant plan without adding numeric drift.
-TEST(TilePlan, TiledInt8WithinOneQuantStep) {
-  const auto spec = en::build_network(en::NetworkId::kSpikeFlowNet,
-                                      en::ZooConfig::test_scale());
-  const auto calib = eq::make_validation_set(spec, 2, 9, 0.02);
-  const auto eval = eq::make_validation_set(spec, 1, 99, 0.02);
-  eq::QuantizedNetwork qnet(
-      spec, 7, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
-
-  const auto dense_int8 = qnet.run(eval[0].event_steps);
-  const auto reference = qnet.run_reference(eval[0].event_steps);
-
-  const auto tiled =
-      with_forced_tiles(spec, qnet.plan_execution(eval[0].event_steps), 2);
-  ASSERT_TRUE(tiled.tiles.enabled());
-  qnet.network().set_execution_plan(&tiled);
-  const auto routed_int8 = qnet.run(eval[0].event_steps);
-  qnet.network().set_execution_plan(nullptr);
-  qnet.clear_execution_plan();
-
-  ASSERT_EQ(routed_int8.shape(), dense_int8.shape());
-  EXPECT_EQ(es::max_abs_diff(routed_int8, dense_int8), 0.0f);
-  const double step = eq::output_quant_step(reference);
-  EXPECT_LE(es::max_abs_diff(routed_int8, reference), step + 1e-6);
-}
-
 // ------------------------------------------- sparse spike emission
 
 // Spiking layers whose consumers run sparse emit spikes directly as COO:
@@ -962,4 +746,53 @@ TEST(Engine, SpikingChainEmitsSparseSpikes) {
   // crosses the representation boundary only at the event input.
   EXPECT_EQ(stats.sparsify_boundaries, steps);
   EXPECT_EQ(stats.densify_boundaries, 0u);
+}
+
+// ------------------------------------------- per-node observer contract
+
+namespace {
+
+/// Counts on_node calls and the ones reporting the single-piece
+/// (tile, tile_count) == (0, 1) execution.
+class CallCounter final : public en::ExecObserver {
+ public:
+  void on_node(int, en::Route, int, std::uint64_t, std::uint64_t, int tile,
+               int tile_count) noexcept override {
+    ++calls;
+    if (tile == 0 && tile_count == 1) ++single_piece;
+  }
+  std::size_t calls = 0;
+  std::size_t single_piece = 0;
+};
+
+}  // namespace
+
+// The observer fires exactly once per node execution, always as (0, 1),
+// on a calibrated DAVIS-scale Adaptive-SpikeNet (256x352, base 16,
+// thresholds in the 0.5-5% firing band) whose plan routes the long
+// spiking encoder chain sparse — and the routed output stays bitwise
+// equal to dense execution.
+TEST(ExecObserver, OneCallPerNodeExecutionAtDavisScale) {
+  const auto spec = en::build_network(en::NetworkId::kAdaptiveSpikeNet,
+                                      en::ZooConfig{256, 352, 16, 5, 2.0f});
+  en::FunctionalNetwork net(spec, 7);
+  const auto samples = eq::make_validation_set(spec, 1, 42, 0.01);
+  const auto& steps = samples[0].event_steps;
+  const auto dense_out = net.run(steps);
+
+  const auto plan = en::ExecutionPlanner::calibrate(net, steps);
+  ASSERT_GT(plan.sparse_node_count(), 1);
+  CallCounter counter;
+  net.set_execution_plan(&plan);
+  net.set_exec_observer(&counter);
+  const auto routed_out = net.run(steps);
+  const en::ExecStats stats = net.last_exec_stats();
+  net.set_exec_observer(nullptr);
+  net.set_execution_plan(nullptr);
+
+  EXPECT_GT(stats.sparse_node_runs, 0u);
+  EXPECT_EQ(counter.calls, stats.node_executions);
+  EXPECT_EQ(counter.single_piece, counter.calls);
+  ASSERT_EQ(routed_out.shape(), dense_out.shape());
+  EXPECT_EQ(es::max_abs_diff(routed_out, dense_out), 0.0f);
 }

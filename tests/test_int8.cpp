@@ -14,7 +14,6 @@
 #include "nn/zoo.hpp"
 #include "quant/calibrate.hpp"
 #include "quant/int8_kernels.hpp"
-#include "quant/qnetwork.hpp"
 #include "quant/quantizer.hpp"
 #include "sparse/sparse_ops.hpp"
 
@@ -281,13 +280,18 @@ TEST(Int8Engine, MixedPrecisionRoutesPerLayer) {
   const auto calib = eq::make_validation_set(spec, 2, 7);
   const auto eval = eq::make_validation_set(spec, 1, 77);
 
-  eq::QuantizedNetwork mixed(spec, 5, alternating_int8(spec), calib);
-  eq::QuantizedNetwork full(
-      spec, 5, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 5);
+  const auto table = eq::calibrate_activations(net, calib);
+  const auto mixed = eq::build_quant_plan(net, alternating_int8(spec), table);
+  const auto full = eq::build_quant_plan(
+      net, eq::uniform_assignment(spec, eq::Precision::kInt8), table);
 
-  const auto out_fp32 = mixed.run_fp32(eval[0].event_steps);
-  const auto out_mixed = mixed.run(eval[0].event_steps);
-  const auto out_full = full.run(eval[0].event_steps);
+  const auto out_fp32 = net.run(eval[0].event_steps);
+  net.set_quant_plan(&mixed);
+  const auto out_mixed = net.run(eval[0].event_steps);
+  net.set_quant_plan(&full);
+  const auto out_full = net.run(eval[0].event_steps);
+  net.set_quant_plan(nullptr);
   // Quantizing some layers moves the output; quantizing all moves it
   // further / differently — per-layer routing is real.
   EXPECT_GT(es::max_abs_diff(out_mixed, out_fp32), 0.0f);
@@ -304,21 +308,30 @@ TEST(Int8Engine, RealMatchesReferenceWithinOneStepAcrossZoo) {
     // Opt out of the input-layer FP32 guard: this is a kernel-parity
     // contract over EVERY layer, not a deployment-policy test (and
     // DOTIE's only layer is the guarded one).
-    eq::QuantizedNetwork qnet(
-        spec, 7, eq::uniform_assignment(spec, eq::Precision::kInt8), calib,
-        eq::WeightGranularity::kPerChannel,
-        eq::QuantPlanOptions{.quantize_input_layer = true});
+    en::FunctionalNetwork net(spec, 7);
+    const auto table = eq::calibrate_activations(net, calib);
+    const auto int8 = eq::uniform_assignment(spec, eq::Precision::kInt8);
+    const eq::QuantPlanOptions options{.quantize_input_layer = true};
+    const auto real_plan = eq::build_quant_plan(
+        net, int8, table, /*simulate=*/false,
+        eq::WeightGranularity::kPerChannel, options);
+    const auto simulated_plan = eq::build_quant_plan(
+        net, int8, table, /*simulate=*/true,
+        eq::WeightGranularity::kPerChannel, options);
 
     const auto* image =
         eval[0].image.has_value() ? &eval[0].image.value() : nullptr;
-    const auto real = qnet.run(eval[0].event_steps, image);
-    const auto reference = qnet.run_reference(eval[0].event_steps, image);
+    net.set_quant_plan(&real_plan);
+    const auto real = net.run(eval[0].event_steps, image);
+    net.set_quant_plan(&simulated_plan);
+    const auto reference = net.run(eval[0].event_steps, image);
+    net.set_quant_plan(nullptr);
     ASSERT_EQ(real.shape(), reference.shape()) << spec.name;
     const double step = eq::output_quant_step(reference);
     EXPECT_LE(es::max_abs_diff(real, reference), step + 1e-6) << spec.name;
     // And quantization is actually happening (int8 output differs from
     // FP32 — random-weight activations never land exactly on the grid).
-    const auto fp32 = qnet.run_fp32(eval[0].event_steps, image);
+    const auto fp32 = net.run(eval[0].event_steps, image);
     EXPECT_GT(es::max_abs_diff(real, fp32), 0.0f) << spec.name;
   }
 }
@@ -327,8 +340,11 @@ TEST(Int8Engine, BatchedRunBitMatchesPerSample) {
   const auto spec =
       en::build_network(en::NetworkId::kEvFlowNet, en::ZooConfig::test_scale());
   const auto calib = eq::make_validation_set(spec, 2, 11);
-  eq::QuantizedNetwork qnet(
-      spec, 3, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 3);
+  const auto plan = eq::build_quant_plan(
+      net, eq::uniform_assignment(spec, eq::Precision::kInt8),
+      eq::calibrate_activations(net, calib));
+  net.set_quant_plan(&plan);
 
   constexpr int kBatch = 3;
   const auto samples = eq::make_validation_set(spec, kBatch, 111);
@@ -346,11 +362,11 @@ TEST(Int8Engine, BatchedRunBitMatchesPerSample) {
     batched_steps.push_back(std::move(step));
   }
 
-  const auto batched = qnet.run_batched(batched_steps);
+  const auto batched = net.run_batched(batched_steps);
   ASSERT_EQ(batched.shape().n, kBatch);
   for (int n = 0; n < kBatch; ++n) {
     const auto single =
-        qnet.run(samples[static_cast<std::size_t>(n)].event_steps);
+        net.run(samples[static_cast<std::size_t>(n)].event_steps);
     const float* b = batched.raw() +
                      static_cast<std::size_t>(n) * batched.stride_n();
     const float* s = single.raw();
@@ -364,14 +380,17 @@ TEST(Int8Engine, WorkspaceStopsGrowingOnceWarm) {
   const auto spec =
       en::build_network(en::NetworkId::kEvFlowNet, en::ZooConfig::test_scale());
   const auto calib = eq::make_validation_set(spec, 2, 13);
-  eq::QuantizedNetwork qnet(
-      spec, 3, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 3);
+  const auto plan = eq::build_quant_plan(
+      net, eq::uniform_assignment(spec, eq::Precision::kInt8),
+      eq::calibrate_activations(net, calib));
+  net.set_quant_plan(&plan);
   const auto eval = eq::make_validation_set(spec, 1, 131);
-  (void)qnet.run(eval[0].event_steps);
-  const std::size_t warm = qnet.network().workspace().retained_bytes();
+  (void)net.run(eval[0].event_steps);
+  const std::size_t warm = net.workspace().retained_bytes();
   EXPECT_GT(warm, 0u);
-  for (int i = 0; i < 3; ++i) (void)qnet.run(eval[0].event_steps);
-  EXPECT_EQ(qnet.network().workspace().retained_bytes(), warm);
+  for (int i = 0; i < 3; ++i) (void)net.run(eval[0].event_steps);
+  EXPECT_EQ(net.workspace().retained_bytes(), warm);
 }
 
 TEST(Int8Kernels, PadFreeConvIsThreadCountInvariant) {

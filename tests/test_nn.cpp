@@ -287,6 +287,47 @@ TEST(Lif, FiringRateAccounting) {
   EXPECT_NEAR(lif.mean_firing_rate(), 0.0, 1e-9);
 }
 
+// step_sparse advances the membrane in place with step()'s arithmetic:
+// same spikes (as row-major COO), same membrane, same firing counters.
+TEST(Lif, SparseStepMatchesDenseStep) {
+  const es::TensorShape shape{2, 3, 5, 7};
+  for (const bool soft : {true, false}) {
+    const en::LifParams params{0.9f, 0.6f, soft};
+    en::LifState dense(shape, params, {0.8f, 0.9f, 1.0f}, {0.5f, 0.6f, 0.7f});
+    en::LifState sparse = dense;
+    en::SpikeCoo spikes;
+    for (int t = 0; t < 4; ++t) {
+      es::DenseTensor current(shape);
+      current.fill_random(100 + static_cast<std::uint64_t>(t), 0.5f);
+      const es::DenseTensor want = dense.step(current);
+      sparse.step_sparse(current, spikes);
+      es::DenseTensor got(shape);
+      ASSERT_EQ(spikes.size(), 2u);
+      for (int n = 0; n < shape.n; ++n) {
+        ASSERT_EQ(spikes[static_cast<std::size_t>(n)].size(), 3u);
+        for (int c = 0; c < shape.c; ++c) {
+          const auto& entries =
+              spikes[static_cast<std::size_t>(n)][static_cast<std::size_t>(c)];
+          EXPECT_TRUE(std::is_sorted(
+              entries.begin(), entries.end(),
+              [](const es::CooEntry& a, const es::CooEntry& b) {
+                return std::tie(a.row, a.col) < std::tie(b.row, b.col);
+              }));
+          for (const es::CooEntry& e : entries) {
+            EXPECT_EQ(e.value, 1.0f);
+            got.at(n, c, e.row, e.col) = e.value;
+          }
+        }
+      }
+      EXPECT_EQ(es::max_abs_diff(got, want), 0.0f) << "t=" << t;
+      EXPECT_EQ(es::max_abs_diff(sparse.membrane(), dense.membrane()), 0.0f)
+          << "t=" << t;
+    }
+    EXPECT_GT(dense.mean_firing_rate(), 0.0);
+    EXPECT_EQ(sparse.mean_firing_rate(), dense.mean_firing_rate());
+  }
+}
+
 TEST(Lif, PerChannelParamsValidated) {
   EXPECT_THROW(en::LifState(es::TensorShape{1, 2, 1, 1},
                             en::LifParams{0.9f, 1.0f}, {0.5f}),

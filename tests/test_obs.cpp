@@ -800,9 +800,10 @@ TEST(ServeObservability, TracedRunExportsTimelineAndMetrics) {
 TEST(ServeObservability, FrameLineageReconstructsJourney) {
   // One frame's journey must be reconstructable from its (stream, seq)
   // lineage args alone, and the hop durations must tile the measured
-  // enqueue -> inference-complete latency: queue.wait + collate.wait +
-  // frame.inference covers the wall up to the (untraced) batch handoff,
-  // so the sum lands within one latency-histogram bucket of the wall.
+  // enqueue -> inference-complete latency: queue.wait, collate.wait and
+  // frame.inference are contiguous by construction (one clock read ends
+  // each hop and starts the next, the batch handoff included), so the
+  // sum lands within one latency-histogram bucket of the wall.
   const en::NetworkSpec spec = en::build_network(
       en::NetworkId::kDotie, en::ZooConfig::test_scale());
   const auto shape =
@@ -861,6 +862,10 @@ TEST(ServeObservability, FrameLineageReconstructsJourney) {
     EXPECT_GE(inference->ts_us + inference->dur_us,
               collate->ts_us + collate->dur_us);
     EXPECT_GE(capture->ts_us + 1e-3, inference->ts_us);
+    // No gap between hops: each starts where the previous one ended.
+    EXPECT_NEAR(collate->ts_us, queue_wait->ts_us + queue_wait->dur_us,
+                1e-3);
+    EXPECT_NEAR(inference->ts_us, collate->ts_us + collate->dur_us, 1e-3);
 
     // The tiling contract, in latency-histogram bucket units (the same
     // default options evedge_stream_latency_us uses).
