@@ -1,19 +1,16 @@
-// End-to-end sparse-network execution benchmark: times three execution
+// End-to-end sparse-network execution benchmark: times two execution
 // strategies for a 3-sparse-layer network (submanifold -> strided sparse
-// conv -> submanifold) at DAVIS346 scale across event densities, on a
-// DSFA-style merge batch of frames:
+// conv -> submanifold) at DAVIS346 scale across event densities, over a
+// DSFA-style merge batch of frames run one after another:
 //
 //   batch1      per-frame calls with the legacy densify/sparsify chain
 //               (sparse_conv2d emits dense, dense_to_channels re-encodes)
-//   batched     batched kernels, still paying the densify/sparsify
-//               round-trip between the strided and submanifold layers
-//   csr_chain   batched kernels chained through sparse_conv2d_csr_batch —
+//   csr_chain   per-frame calls chained through sparse_conv2d_csr —
 //               sparse end to end, no dense round-trip, shared Workspace
 //
-// The batched/CSR outputs are checked bitwise against the per-sample CSR
-// chain (batched == batch-1 by construction) and against the legacy chain
-// to 1e-4. Results go to BENCH_e2e.json (CI artifact); the bench exits
-// non-zero on any parity failure.
+// The CSR chain's outputs are checked against the legacy chain to 1e-4.
+// Results go to BENCH_e2e.json (CI artifact); the bench exits non-zero on
+// any parity failure.
 //
 // Usage: bench_e2e [output.json]
 
@@ -46,36 +43,6 @@ es::SparseSample random_sample(int channels, int h, int w, double density,
   return es::dense_to_channels(dense);
 }
 
-/// Re-encodes every sample slice of a batched dense output back into COO
-/// channels (the per-layer cost CSR chaining removes from the legacy
-/// strided path).
-[[nodiscard]] std::vector<es::SparseSample> sparsify_batch(
-    const es::DenseTensor& d) {
-  std::vector<es::SparseSample> out(static_cast<std::size_t>(d.shape().n));
-  const std::size_t plane = d.stride_c();
-  for (int n = 0; n < d.shape().n; ++n) {
-    es::SparseSample channels;
-    channels.reserve(static_cast<std::size_t>(d.shape().c));
-    for (int c = 0; c < d.shape().c; ++c) {
-      const float* p = d.raw() + static_cast<std::size_t>(n) * d.stride_n() +
-                       static_cast<std::size_t>(c) * plane;
-      std::vector<es::CooEntry> entries;
-      for (int y = 0; y < d.shape().h; ++y) {
-        for (int x = 0; x < d.shape().w; ++x) {
-          const float v = p[static_cast<std::size_t>(y) *
-                                static_cast<std::size_t>(d.shape().w) +
-                            static_cast<std::size_t>(x)];
-          if (v != 0.0f) entries.push_back(es::CooEntry{y, x, v});
-        }
-      }
-      channels.push_back(es::CooChannel::from_sorted_entries(
-          d.shape().h, d.shape().w, std::move(entries)));
-    }
-    out[static_cast<std::size_t>(n)] = std::move(channels);
-  }
-  return out;
-}
-
 /// The 3-sparse-layer encoder under test (the regime where activations
 /// stay sparse — chaining pays off before the active set densifies).
 /// DAVIS346 event input: 2 channels at 260x346;
@@ -104,28 +71,12 @@ struct Net {
     return es::submanifold_conv2d(a2, w3, {}, l3);
   }
 
-  /// CSR chain, one sample (the batch-1 reference for bit-matching).
+  /// CSR chain, one sample: sparse end to end.
   [[nodiscard]] es::SparseSample run_csr1(const es::SparseSample& in,
                                           es::Workspace* ws) const {
     const auto a1 = es::submanifold_conv2d(in, w1, {}, l1, nullptr, ws);
     const auto a2 = es::sparse_conv2d_csr(a1, w2, {}, l2, nullptr, ws);
     return es::submanifold_conv2d(a2, w3, {}, l3, nullptr, ws);
-  }
-
-  /// Batched kernels with the legacy densify/sparsify round-trip.
-  [[nodiscard]] std::vector<es::SparseSample> run_batched_legacy(
-      std::span<const es::SparseSample> in, es::Workspace* ws) const {
-    const auto a1 = es::submanifold_conv2d_batch(in, w1, {}, l1, nullptr, ws);
-    const auto a2 = sparsify_batch(es::sparse_conv2d_batch(a1, w2, {}, l2));
-    return es::submanifold_conv2d_batch(a2, w3, {}, l3, nullptr, ws);
-  }
-
-  /// CSR-chained batched execution: sparse end to end.
-  [[nodiscard]] std::vector<es::SparseSample> run_csr_batched(
-      std::span<const es::SparseSample> in, es::Workspace* ws) const {
-    const auto a1 = es::submanifold_conv2d_batch(in, w1, {}, l1, nullptr, ws);
-    const auto a2 = es::sparse_conv2d_csr_batch(a1, w2, {}, l2, nullptr, ws);
-    return es::submanifold_conv2d_batch(a2, w3, {}, l3, nullptr, ws);
   }
 };
 
@@ -133,14 +84,9 @@ struct Result {
   double density = 0.0;
   int batch = 0;
   double batch1_ms = 0.0;
-  double batched_ms = 0.0;
   double csr_ms = 0.0;
-  double bit_diff = 0.0;     ///< batched CSR vs per-sample CSR (must be 0)
   double legacy_diff = 0.0;  ///< CSR chain vs legacy chain (<= 1e-4)
 
-  [[nodiscard]] double speedup_batched() const {
-    return batched_ms > 0.0 ? batch1_ms / batched_ms : 0.0;
-  }
   [[nodiscard]] double speedup_csr() const {
     return csr_ms > 0.0 ? batch1_ms / csr_ms : 0.0;
   }
@@ -163,12 +109,10 @@ struct Result {
     std::fprintf(
         f,
         "    {\"density\": %.4f, \"batch\": %d, \"batch1_ms\": %.4f, "
-        "\"batched_ms\": %.4f, \"csr_ms\": %.4f, \"speedup_batched\": %.2f, "
-        "\"speedup_csr\": %.2f, \"bit_diff\": %.3g, \"legacy_diff\": "
+        "\"csr_ms\": %.4f, \"speedup_csr\": %.2f, \"legacy_diff\": "
         "%.3g}%s\n",
-        r.density, r.batch, r.batch1_ms, r.batched_ms, r.csr_ms,
-        r.speedup_batched(), r.speedup_csr(), r.bit_diff, r.legacy_diff,
-        i + 1 < results.size() ? "," : "");
+        r.density, r.batch, r.batch1_ms, r.csr_ms, r.speedup_csr(),
+        r.legacy_diff, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -192,11 +136,10 @@ int main(int argc, char** argv) {
   Net net;
   std::vector<Result> results;
 
-  std::printf("e2e batched/CSR benchmark (threads=%d, batch=%d)\n",
+  std::printf("e2e CSR-chain benchmark (threads=%d, batch=%d)\n",
               evedge::core::parallel_thread_count(), kBatch);
-  std::printf("%8s %10s %10s %10s %9s %9s %10s %10s\n", "density",
-              "batch1_ms", "batched_ms", "csr_ms", "b_speed", "c_speed",
-              "bit_diff", "leg_diff");
+  std::printf("%8s %10s %10s %9s %10s\n", "density", "batch1_ms", "csr_ms",
+              "c_speed", "leg_diff");
 
   bool parity_ok = true;
   for (const double density : {0.005, 0.01, 0.02, 0.05}) {
@@ -215,30 +158,22 @@ int main(int argc, char** argv) {
           for (const es::SparseSample& s : batch) (void)net.run_legacy(s);
         },
         5);
-    r.batched_ms =
-        time_best_ms([&] { (void)net.run_batched_legacy(batch, &ws); }, 5);
-    r.csr_ms = time_best_ms([&] { (void)net.run_csr_batched(batch, &ws); }, 5);
+    r.csr_ms = time_best_ms(
+        [&] {
+          for (const es::SparseSample& s : batch) (void)net.run_csr1(s, &ws);
+        },
+        5);
 
-    // Parity: batched CSR chain must bit-match the per-sample CSR chain,
-    // and stay within 1e-4 of the legacy densify/sparsify chain.
-    const auto csr_batched = net.run_csr_batched(batch, &ws);
-    for (int n = 0; n < kBatch; ++n) {
-      const auto one =
-          net.run_csr1(batch[static_cast<std::size_t>(n)], &ws);
-      r.bit_diff = std::max(
-          r.bit_diff, sample_diff(csr_batched[static_cast<std::size_t>(n)],
-                                  one));
-      const auto legacy = net.run_legacy(batch[static_cast<std::size_t>(n)]);
+    // Parity: the CSR chain stays within 1e-4 of the legacy
+    // densify/sparsify chain.
+    for (const es::SparseSample& s : batch) {
       r.legacy_diff = std::max(
-          r.legacy_diff,
-          sample_diff(csr_batched[static_cast<std::size_t>(n)], legacy));
+          r.legacy_diff, sample_diff(net.run_csr1(s, &ws), net.run_legacy(s)));
     }
-    if (r.bit_diff != 0.0 || r.legacy_diff > 1e-4) parity_ok = false;
+    if (r.legacy_diff > 1e-4) parity_ok = false;
 
-    std::printf("%8.4f %10.3f %10.3f %10.3f %8.2fx %8.2fx %10.3g %10.3g\n",
-                r.density, r.batch1_ms, r.batched_ms, r.csr_ms,
-                r.speedup_batched(), r.speedup_csr(), r.bit_diff,
-                r.legacy_diff);
+    std::printf("%8.4f %10.3f %10.3f %8.2fx %10.3g\n", r.density,
+                r.batch1_ms, r.csr_ms, r.speedup_csr(), r.legacy_diff);
     std::fflush(stdout);
     results.push_back(r);
   }
@@ -246,7 +181,7 @@ int main(int argc, char** argv) {
   const bool wrote = write_json(results, out_path);
   if (!parity_ok) {
     std::fprintf(stderr,
-                 "parity failure: batched CSR chain diverged (see table)\n");
+                 "parity failure: CSR chain diverged (see table)\n");
     return 1;
   }
   return wrote ? 0 : 1;

@@ -106,8 +106,12 @@ evedge::obs::Counter* volatile g_labeled_series = nullptr;
 volatile std::uint64_t g_site_sink = 0;
 
 /// ns per disabled labeled-metric site (null cached-series pointer
-/// check — see StreamIngress::attach_dispatch_counter).
-[[nodiscard]] double labeled_site_ns(std::size_t iters) {
+/// check — see StreamIngress::attach_dispatch_counter). The loop is a
+/// few instructions long, so its cost doubles when the linker happens
+/// to place it across a 32-byte fetch boundary; the 64-byte function
+/// alignment pins its placement so the ratio tracks the site, not the
+/// binary's layout.
+[[nodiscard, gnu::aligned(64)]] double labeled_site_ns(std::size_t iters) {
   std::uint64_t live = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {

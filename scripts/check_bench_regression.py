@@ -13,8 +13,8 @@ Six benchmark schemas are understood, auto-detected per record:
   BENCH_kernels.json / BENCH_quant.json
       records with kernel/shape/density and a single "speedup" metric
   BENCH_e2e.json
-      records with density/batch and two metrics, "speedup_batched"
-      and "speedup_csr"
+      records with density/batch and a "speedup_csr" metric (the
+      per-frame CSR chain vs the legacy densify/sparsify chain)
   BENCH_sparse_engine.json
       records with network/density and a "speedup_planner" metric
       (planner-routed engine vs all-dense, same machine same run)
@@ -115,8 +115,6 @@ def load(path):
                 key = ("e2e", "batch=%d" % int(_require(r, "batch", path, i)),
                        round(float(_require(r, "density", path, i)), 6))
                 metrics = {
-                    "speedup_batched":
-                        float(_require(r, "speedup_batched", path, i)),
                     "speedup_csr": float(_require(r, "speedup_csr", path, i)),
                 }
         except (ValueError, TypeError) as e:

@@ -116,7 +116,7 @@ FunctionalNetwork::FunctionalNetwork(NetworkSpec spec, std::uint64_t seed)
       time_invariant_[idx] = node.id != spec_.graph.input_ids().front();
     } else {
       // Stateless nodes fed only by constant inputs compute the same
-      // value at every timestep — run_impl caches them after t == 0.
+      // value at every timestep — run_sample caches them after t == 0.
       bool invariant = !node.parents.empty();
       for (const int parent : node.parents) {
         invariant = invariant &&
@@ -291,16 +291,11 @@ void FunctionalNetwork::prepare_packed_weights() {
   }
 }
 
-void FunctionalNetwork::densify_samples(
-    const std::vector<sparse::SparseSample>& samples,
-    sparse::DenseTensor& out) {
-  const sparse::SparseSample& first = samples.front();
-  out.reset(TensorShape{static_cast<int>(samples.size()),
-                        static_cast<int>(first.size()), first[0].height(),
-                        first[0].width()});
-  for (std::size_t n = 0; n < samples.size(); ++n) {
-    sparse::channels_into_slice(samples[n], out, static_cast<int>(n));
-  }
+void FunctionalNetwork::densify(const sparse::SparseSample& sample,
+                                sparse::DenseTensor& out) {
+  out.reset(TensorShape{1, static_cast<int>(sample.size()),
+                        sample.front().height(), sample.front().width()});
+  sparse::channels_into_slice(sample, out, 0);
 }
 
 const DenseTensor& FunctionalNetwork::dense_value(int node_id) {
@@ -310,24 +305,17 @@ const DenseTensor& FunctionalNetwork::dense_value(int node_id) {
       throw std::logic_error("dense_value: node " + std::to_string(node_id) +
                              " has no value this timestep");
     }
-    densify_samples(sparse_values_[idx], values_[idx]);
+    densify(sparse_values_[idx], values_[idx]);
     dense_valid_[idx] = 1;
     ++exec_stats_.densify_boundaries;
   }
   return values_[idx];
 }
 
-const std::vector<sparse::SparseSample>& FunctionalNetwork::sparse_value(
-    int node_id) {
+const sparse::SparseSample& FunctionalNetwork::sparse_value(int node_id) {
   const auto idx = static_cast<std::size_t>(node_id);
   if (!sparse_valid_[idx]) {
-    const DenseTensor& dense = dense_value(node_id);
-    auto& samples = sparse_values_[idx];
-    samples.resize(static_cast<std::size_t>(dense.shape().n));
-    for (int n = 0; n < dense.shape().n; ++n) {
-      samples[static_cast<std::size_t>(n)] =
-          sparse::slice_to_channels(dense, n);
-    }
+    sparse_values_[idx] = sparse::dense_to_channels(dense_value(node_id));
     sparse_valid_[idx] = 1;
     ++exec_stats_.sparsify_boundaries;
   }
@@ -337,31 +325,27 @@ const std::vector<sparse::SparseSample>& FunctionalNetwork::sparse_value(
 void FunctionalNetwork::run_sparse_conv(const LayerNode& node,
                                         std::size_t idx, Route route) {
   const LayerSpec& ls = node.spec;
-  const std::vector<sparse::SparseSample>& input =
-      sparse_value(node.parents.front());
-  auto& out = sparse_values_[idx];
+  const sparse::SparseSample& input = sparse_value(node.parents.front());
+  sparse::SparseSample& out = sparse_values_[idx];
   sparse::ConvWork work;
   if (const quant::NodeQuantPlan* nq = node_quant(idx)) {
-    // Real int8 gather kernels, sample by sample (the inner reduction
-    // threads itself); the quant plan carries the packed int8 rows.
-    out.resize(input.size());
-    for (std::size_t n = 0; n < input.size(); ++n) {
-      out[n] = route == Route::kSubmanifold
-                   ? quant::int8_submanifold_conv2d(
-                         input[n], nq->weights, biases_[idx],
-                         nq->input_scale, &work, &workspace_)
-                   : quant::int8_sparse_conv2d_csr(
-                         input[n], nq->weights, biases_[idx],
-                         nq->input_scale, &work, &workspace_);
-    }
+    // Real int8 gather kernels; the quant plan carries the packed int8
+    // rows.
+    out = route == Route::kSubmanifold
+              ? quant::int8_submanifold_conv2d(input, nq->weights,
+                                               biases_[idx], nq->input_scale,
+                                               &work, &workspace_)
+              : quant::int8_sparse_conv2d_csr(input, nq->weights,
+                                              biases_[idx], nq->input_scale,
+                                              &work, &workspace_);
   } else {
     const std::vector<float>& packed =
         workspace_.packed_slot(static_cast<int>(idx));
     out = route == Route::kSubmanifold
-              ? sparse::submanifold_conv2d_batch(
+              ? sparse::submanifold_conv2d(
                     input, weights_[idx], biases_[idx], ls.conv, &work,
                     &workspace_, sparse::SubmanifoldThreading::kAuto, packed)
-              : sparse::sparse_conv2d_csr_batch(
+              : sparse::sparse_conv2d_csr(
                     input, weights_[idx], biases_[idx], ls.conv, &work,
                     &workspace_, sparse::SubmanifoldThreading::kAuto, packed);
   }
@@ -420,22 +404,15 @@ void FunctionalNetwork::reset_spiking_state() {
   }
 }
 
-void FunctionalNetwork::ensure_lif_batch(int batch) {
-  for (const LayerNode& node : spec_.graph.nodes()) {
-    const auto idx = static_cast<std::size_t>(node.id);
-    if (!is_spiking_[idx] || lif_[idx].shape().n == batch) continue;
-    const LayerSpec& ls = node.spec;
-    // Independent per-sample membranes: the LIF update is elementwise,
-    // so batching the state shape is all per-sample isolation needs.
-    lif_[idx] = LifState(
-        TensorShape{batch, ls.out_shape.c, ls.out_shape.h, ls.out_shape.w},
-        ls.lif, channel_leak_[idx], channel_threshold_[idx]);
-  }
-}
-
 DenseTensor FunctionalNetwork::run(std::span<const DenseTensor> event_steps,
                                    const DenseTensor* image) {
-  return run_impl(event_steps, image, 1);
+  for (const DenseTensor& step : event_steps) {
+    if (step.shape().n != 1) {
+      throw std::invalid_argument(
+          "run: event steps must be batch 1 (use run_batched)");
+    }
+  }
+  return run_batched(event_steps, image);
 }
 
 DenseTensor FunctionalNetwork::run_batched(
@@ -449,25 +426,11 @@ DenseTensor FunctionalNetwork::run_batched(
       throw std::invalid_argument("run_batched: inconsistent batch sizes");
     }
   }
-  if (image != nullptr && image->shape().n == 1 && batch > 1) {
-    // Tile the (batch-invariant) image across the batch once.
-    const TensorShape& is = image->shape();
-    image_batch_.reset(TensorShape{batch, is.c, is.h, is.w});
-    const std::size_t block = image->stride_n();
-    for (int n = 0; n < batch; ++n) {
-      std::copy(image->raw(), image->raw() + block,
-                image_batch_.raw() + static_cast<std::size_t>(n) * block);
-    }
-    image = &image_batch_;
+  if (image != nullptr && image->shape().n != 1 &&
+      image->shape().n != batch) {
+    throw std::invalid_argument("run_batched: image batch must be 1 or N");
   }
-  return run_impl(event_steps, image, batch);
-}
-
-DenseTensor FunctionalNetwork::run_impl(
-    std::span<const DenseTensor> event_steps, const DenseTensor* image,
-    int batch) {
   const std::vector<int> inputs = spec_.graph.input_ids();
-  const std::vector<int> outputs = spec_.graph.output_ids();
   if (static_cast<int>(event_steps.size()) != spec_.timesteps) {
     throw std::invalid_argument(
         "run: expected " + std::to_string(spec_.timesteps) +
@@ -476,19 +439,16 @@ DenseTensor FunctionalNetwork::run_impl(
   if (inputs.size() > 1 && image == nullptr) {
     throw std::invalid_argument("run: network requires an image input");
   }
-  ensure_lif_batch(batch);
-  reset_spiking_state();
 
-  DenseTensor accumulated;
+  // Per-call setup, shared by every sample of the call.
   const std::size_t n_nodes = spec_.graph.size();
   values_.resize(n_nodes);
   sparse_values_.resize(n_nodes);
-  std::vector<DenseTensor>& values = values_;
   exec_stats_ = ExecStats{};
   prepare_packed_weights();
   // Spiking nodes feeding a sparse-routed consumer this run emit their
   // spikes as COO directly (step_sparse), skipping the consumer's
-  // chain-head slice_to_channels re-scan of a spike tensor that was just
+  // chain-head dense_to_channels re-scan of a spike tensor that was just
   // written. Dense consumers (skip connections) densify lazily — spikes
   // are exactly 1.0f, so both representations are bitwise identical.
   spike_sparse_emit_.assign(n_nodes, 0);
@@ -503,6 +463,34 @@ DenseTensor FunctionalNetwork::run_impl(
       if (is_spiking_[pidx]) spike_sparse_emit_[pidx] = 1;
     }
   }
+  const int event_input = inputs.front();
+  const int output = spec_.graph.output_ids().front();
+
+  // Samples run one after another through the batch-1 path, so lane n
+  // is exactly run() on sample n.
+  if (batch == 1) return run_sample(event_steps, image, 0, event_input, output);
+  DenseTensor out;
+  for (int n = 0; n < batch; ++n) {
+    const DenseTensor lane =
+        run_sample(event_steps, image, n, event_input, output);
+    if (n == 0) {
+      const TensorShape& ls = lane.shape();
+      out.reset(TensorShape{batch, ls.c, ls.h, ls.w});
+    }
+    std::copy(lane.raw(), lane.raw() + lane.size(),
+              out.raw() + static_cast<std::size_t>(n) * lane.size());
+  }
+  return out;
+}
+
+DenseTensor FunctionalNetwork::run_sample(
+    std::span<const DenseTensor> event_steps, const DenseTensor* image,
+    int lane, int event_input, int output) {
+  reset_spiking_state();
+
+  DenseTensor accumulated;
+  const std::size_t n_nodes = spec_.graph.size();
+  std::vector<DenseTensor>& values = values_;
 
   // Timestep-invariant caching: stateless nodes fed only by the constant
   // image input compute identical values every timestep (e.g. the whole
@@ -545,15 +533,15 @@ DenseTensor FunctionalNetwork::run_impl(
       DenseTensor& out = values[idx];
       switch (ls.kind) {
         case LayerKind::kInput: {
-          const bool is_event_input = node.id == inputs.front();
-          const DenseTensor& src = is_event_input ? step : *image;
+          const DenseTensor& src = node.id == event_input ? step : *image;
           const TensorShape& ss = src.shape();
-          if (ss.n != batch || ss.c != ls.out_shape.c ||
-              ss.h != ls.out_shape.h || ss.w != ls.out_shape.w) {
+          if (ss.c != ls.out_shape.c || ss.h != ls.out_shape.h ||
+              ss.w != ls.out_shape.w) {
             throw std::invalid_argument("run: input shape mismatch at '" +
                                         ls.name + "'");
           }
-          out = src;
+          // A [1, ...] image is shared by every lane.
+          sparse::copy_sample(src, ss.n == 1 ? 0 : lane, out);
           dense_valid_[idx] = 1;
           break;
         }
@@ -564,9 +552,7 @@ DenseTensor FunctionalNetwork::run_impl(
             if (ls.relu_after) {
               // Sparse ReLU: dropping negative entries leaves exactly
               // relu() of the dense image (implicit zeros are fixpoints).
-              for (sparse::SparseSample& sample : sparse_values_[idx]) {
-                sparse::relu_sample_inplace(sample);
-              }
+              sparse::relu_sample_inplace(sparse_values_[idx]);
             }
             break;
           }
@@ -608,15 +594,15 @@ DenseTensor FunctionalNetwork::run_impl(
             // bookkeeping. Wide layers keep the vectorized gather
             // reduction below.
             sparse::ConvWork work;
-            sparse::sparse_conv2d_batch_into(
-                sparse_value(node.parents.front()), weights_[idx],
-                biases_[idx], ls.conv, conv_scratch_, &work);
+            sparse::sparse_conv2d_into(sparse_value(node.parents.front()),
+                                       weights_[idx], biases_[idx], ls.conv,
+                                       conv_scratch_, &work);
             ++exec_stats_.sparse_node_runs;
             exec_stats_.sparse_macs += work.sparse_macs;
             exec_stats_.dense_macs_avoided += work.dense_macs;
           } else if (route != Route::kDense) {
             run_sparse_conv(node, idx, route);
-            densify_samples(sparse_values_[idx], conv_scratch_);
+            densify(sparse_values_[idx], conv_scratch_);
             ++exec_stats_.densify_boundaries;
             // The carrier held the pre-LIF current, not this node's
             // output — invalidate it before the spikes land in `out`.
@@ -631,19 +617,14 @@ DenseTensor FunctionalNetwork::run_impl(
           if (spike_sparse_emit_[idx]) {
             lif_[idx].step_sparse(conv_scratch_, spike_staging_);
             const TensorShape& os = lif_[idx].shape();
-            auto& samples = sparse_values_[idx];
-            samples.resize(static_cast<std::size_t>(os.n));
-            for (int n = 0; n < os.n; ++n) {
-              auto& sample = samples[static_cast<std::size_t>(n)];
-              sample.resize(static_cast<std::size_t>(os.c));
-              for (int c = 0; c < os.c; ++c) {
-                sample[static_cast<std::size_t>(c)] =
-                    sparse::CooChannel::from_sorted_entries(
-                        os.h, os.w,
-                        std::move(
-                            spike_staging_[static_cast<std::size_t>(n)]
-                                          [static_cast<std::size_t>(c)]));
-              }
+            sparse::SparseSample& sample = sparse_values_[idx];
+            sample.resize(static_cast<std::size_t>(os.c));
+            for (int c = 0; c < os.c; ++c) {
+              sample[static_cast<std::size_t>(c)] =
+                  sparse::CooChannel::from_sorted_entries(
+                      os.h, os.w,
+                      std::move(spike_staging_.front()
+                                              [static_cast<std::size_t>(c)]));
             }
             sparse_valid_[idx] = 1;
             dense_valid_[idx] = 0;
@@ -709,8 +690,7 @@ DenseTensor FunctionalNetwork::run_impl(
       }
     }
 
-    const DenseTensor& step_out =
-        values[static_cast<std::size_t>(outputs.front())];
+    const DenseTensor& step_out = values[static_cast<std::size_t>(output)];
     if (t == 0) {
       accumulated = step_out;
     } else {

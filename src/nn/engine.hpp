@@ -41,8 +41,10 @@ struct NodeQuantPlan;
 
 namespace evedge::nn {
 
-/// Per-run telemetry of the route-dispatched executor (reset by every
-/// run()/run_batched(); counters accumulate over timesteps).
+/// Per-call telemetry of the route-dispatched executor (reset by every
+/// run()/run_batched(); counters accumulate over timesteps and, in a
+/// multi-sample run_batched() call, over its samples: the call reports
+/// the field-wise sum of its per-sample run() stats).
 struct ExecStats {
   std::size_t node_executions = 0;     ///< nodes actually executed (the
                                        ///< timestep-invariant cache skips
@@ -57,14 +59,18 @@ struct ExecStats {
 /// Per-node execution observer: on_node fires once after every node the
 /// engine actually executes (cache-skipped nodes never fire), with the
 /// route the node took, the timestep, and raw steady_clock nanosecond
-/// stamps bracketing the node's kernel (+ activation hook). Every node
-/// runs as one piece, so the engine passes (tile, tile_count) == (0, 1)
-/// on every call; the two trailing parameters stay in the signature so
-/// existing observers keep compiling. The engine holds the observer as
-/// a non-owning pointer and calls it from the run thread only;
-/// implementations must be noexcept and cheap — this sits inside the
-/// per-node loop. The obs layer's LayerProfiler builds per-layer
-/// execution profiles on top of this hook.
+/// stamps bracketing the node's kernel (+ activation hook). A
+/// multi-sample run_batched() call runs its samples one after another,
+/// so the observer sees each sample's executions in turn (the timestep
+/// restarts at 0 per sample): exactly ExecStats::node_executions calls
+/// per call. Every node runs as one piece, so the engine passes
+/// (tile, tile_count) == (0, 1) on every call; the two trailing
+/// parameters stay in the signature so existing observers keep
+/// compiling. The engine holds the observer as a non-owning pointer and
+/// calls it from the run thread only; implementations must be noexcept
+/// and cheap — this sits inside the per-node loop. The obs layer's
+/// LayerProfiler builds per-layer execution profiles on top of this
+/// hook.
 class ExecObserver {
  public:
   virtual ~ExecObserver() = default;
@@ -101,10 +107,9 @@ class FunctionalNetwork {
   /// Batched inference over a DSFA merge batch: every tensor in
   /// `event_steps` is [N, C, H, W] (all with the same N) and the result
   /// is the [N, ...] output tensor whose sample n is bitwise identical
-  /// to run() over sample n alone — the batch dimension threads through
-  /// every kernel without changing per-sample arithmetic. Spiking layers
-  /// keep independent per-sample membrane state. `image`, when required,
-  /// may be [1, ...] (tiled across the batch) or [N, ...].
+  /// to run() over sample n alone — the samples run one after another
+  /// through run()'s batch-1 path, each from rest. `image`, when
+  /// required, may be [1, ...] (shared by every sample) or [N, ...].
   [[nodiscard]] sparse::DenseTensor run_batched(
       std::span<const sparse::DenseTensor> event_steps,
       const sparse::DenseTensor* image = nullptr);
@@ -158,7 +163,8 @@ class FunctionalNetwork {
     return exec_plan_;
   }
 
-  /// Route/boundary telemetry of the last run() / run_batched().
+  /// Route/boundary telemetry of the last run() / run_batched(); a
+  /// multi-sample call reports the sum over its samples (ExecStats).
   [[nodiscard]] const ExecStats& last_exec_stats() const noexcept {
     return exec_stats_;
   }
@@ -179,10 +185,13 @@ class FunctionalNetwork {
   }
 
   /// Mean firing rate of a spiking node measured over the last run()
-  /// (0 for non-spiking nodes or before any run).
+  /// (0 for non-spiking nodes or before any run). Every sample starts
+  /// from reset LIF state, so after a multi-sample run_batched() call
+  /// this is the rate of the call's last sample.
   [[nodiscard]] double mean_firing_rate(int node_id) const;
 
-  /// Mean firing rate across all spiking nodes over the last run().
+  /// Mean firing rate across all spiking nodes over the last run() (the
+  /// last sample of a multi-sample call).
   [[nodiscard]] double network_firing_rate() const;
 
   /// The scratch arena threaded through every kernel this network runs
@@ -194,12 +203,12 @@ class FunctionalNetwork {
 
  private:
   void reset_spiking_state();
-  /// Rebuilds spiking state at the requested batch size (no-op when it
-  /// already matches).
-  void ensure_lif_batch(int batch);
-  [[nodiscard]] sparse::DenseTensor run_impl(
+  /// Runs sample `lane` of the call's inputs (the per-call setup in
+  /// run_batched() already ran) and returns its [1, ...] output.
+  [[nodiscard]] sparse::DenseTensor run_sample(
       std::span<const sparse::DenseTensor> event_steps,
-      const sparse::DenseTensor* image, int batch);
+      const sparse::DenseTensor* image, int lane, int event_input,
+      int output);
   /// The active plan entry for a node (nullptr when the node runs FP32).
   [[nodiscard]] const quant::NodeQuantPlan* node_quant(
       std::size_t idx) const noexcept {
@@ -226,21 +235,19 @@ class FunctionalNetwork {
   /// simulate-mode nodes (the fake-quant twin is a dense oracle).
   [[nodiscard]] Route effective_route(std::size_t idx) const noexcept;
   /// Packs [tap][oc] weight rows for every sparse-routed FP32 node into
-  /// the workspace's per-node slots (once per run).
+  /// the workspace's per-node slots (once per call).
   void prepare_packed_weights();
   /// Dense view of a node's output, densifying the COO carrier on first
   /// access (cached for the rest of the timestep).
   [[nodiscard]] const sparse::DenseTensor& dense_value(int node_id);
   /// COO carrier view of a node's output, sparsifying the dense tensor
   /// on first access (cached for the rest of the timestep).
-  [[nodiscard]] const std::vector<sparse::SparseSample>& sparse_value(
-      int node_id);
+  [[nodiscard]] const sparse::SparseSample& sparse_value(int node_id);
   /// Executes one conv-shaped node on a sparse route into its COO
   /// carrier (float gather kernels, or the int8 ones when planned).
   void run_sparse_conv(const LayerNode& node, std::size_t idx, Route route);
-  /// Densifies per-sample channels into `out` ([N, C, H, W]).
-  void densify_samples(const std::vector<sparse::SparseSample>& samples,
-                       sparse::DenseTensor& out);
+  /// Densifies `sample` into `out` ([1, C, H, W]).
+  void densify(const sparse::SparseSample& sample, sparse::DenseTensor& out);
 
   NetworkSpec spec_;
   std::vector<sparse::DenseTensor> weights_;   // per node (empty if none)
@@ -260,7 +267,6 @@ class FunctionalNetwork {
   sparse::Workspace workspace_;
   std::vector<sparse::DenseTensor> values_;
   sparse::DenseTensor conv_scratch_;
-  sparse::DenseTensor image_batch_;
   // Per-layer precision plan: non-owning pointer plus a per-node index,
   // and a staging tensor for the simulate path's quantized input copies.
   const quant::QuantPlan* quant_plan_ = nullptr;
@@ -271,7 +277,7 @@ class FunctionalNetwork {
   // values_) and the per-timestep representation-validity flags.
   const ExecutionPlan* exec_plan_ = nullptr;
   std::vector<Route> node_route_;
-  std::vector<std::vector<sparse::SparseSample>> sparse_values_;
+  std::vector<sparse::SparseSample> sparse_values_;
   std::vector<std::uint8_t> dense_valid_;
   std::vector<std::uint8_t> sparse_valid_;
   // Spiking nodes whose spikes feed a sparse-routed consumer this run

@@ -29,7 +29,9 @@ int ExecutionPlan::sparse_node_count() const noexcept {
 
 bool ExecutionPlan::density_in_band(double live_density,
                                     double band) const noexcept {
-  if (probe_input_density <= 0.0 || band < 1.0) return false;
+  if (band < 1.0) return false;
+  // An empty probe's band is the single point 0.
+  if (probe_input_density <= 0.0) return live_density <= 0.0;
   return live_density >= probe_input_density / band &&
          live_density <= probe_input_density * band;
 }

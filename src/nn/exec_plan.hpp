@@ -64,8 +64,9 @@ struct ExecutionPlan {
   /// The serving runtime re-calibrates a worker's plan when the live
   /// input density leaves the band (DSFA tracks the drift signal): the
   /// routes were chosen for the probe's density regime and go stale when
-  /// the scene changes. A plan with no recorded probe density is always
-  /// out of band.
+  /// the scene changes. A plan calibrated on an empty probe (density 0)
+  /// is in band for empty input only: any input with events is out of
+  /// band, and further empty batches do not recalibrate.
   [[nodiscard]] bool density_in_band(double live_density,
                                      double band) const noexcept;
 

@@ -219,7 +219,7 @@ void conv2d_gemm_into(const DenseTensor& input, const DenseTensor& weights,
   std::vector<float> local_col;
   float* col_data;
   if (workspace != nullptr) {
-    col_data = workspace->scratch(0).col_buffer(patch * pixels);
+    col_data = workspace->scratch().col_buffer(patch * pixels);
   } else {
     local_col.resize(patch * pixels);
     col_data = local_col.data();

@@ -325,7 +325,7 @@ void int8_conv2d_into(const DenseTensor& input, const Int8ConvWeights& weights,
 
   Workspace local;
   sparse::ConvScratch& s =
-      (workspace != nullptr ? *workspace : local).scratch(0);
+      (workspace != nullptr ? *workspace : local).scratch();
   const std::size_t sample = input.stride_n();
   const std::size_t pixels =
       static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
@@ -381,7 +381,7 @@ void int8_transposed_conv2d_into(const DenseTensor& input,
 
   Workspace local;
   sparse::ConvScratch& s =
-      (workspace != nullptr ? *workspace : local).scratch(0);
+      (workspace != nullptr ? *workspace : local).scratch();
   const std::size_t sample = input.stride_n();
   const std::size_t in_plane = input.stride_c();
   const std::size_t out_plane =
@@ -474,7 +474,7 @@ DenseTensor int8_fully_connected(const DenseTensor& input,
 
   Workspace local;
   sparse::ConvScratch& s =
-      (workspace != nullptr ? *workspace : local).scratch(0);
+      (workspace != nullptr ? *workspace : local).scratch();
   std::int16_t* qin = s.qin_buffer(weights.padded_patch);
   std::fill(qin + features, qin + weights.padded_patch, std::int16_t{0});
 
@@ -549,7 +549,7 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
                                          Workspace* workspace) {
   Workspace local;
   Workspace& arena = workspace != nullptr ? *workspace : local;
-  sparse::ConvScratch& s = arena.scratch(0);
+  sparse::ConvScratch& s = arena.scratch();
   const GatherGeometry geo = sparse::build_gather_taps(
       input, weights.fake, bias, weights.spec, submanifold, s);
 

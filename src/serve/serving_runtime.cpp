@@ -544,6 +544,10 @@ ServeReport ServingRuntime::serve_ingresses(
     report_.rejected_packets += s.rejected_packets;
     report_.duplicate_packets += s.duplicate_packets;
     report_.wire_resumes += s.wire_resumes;
+    report_.wire_heartbeats += s.wire_heartbeats;
+    report_.wire_rewinds += s.wire_rewinds;
+    report_.wire_resyncs += s.wire_resyncs;
+    report_.wire_reconnects += s.wire_reconnects;
     for (const QuarantinedFrame& q : ingresses[i]->quarantined()) {
       report_.quarantined.push_back(q);
     }

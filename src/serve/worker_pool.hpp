@@ -25,11 +25,11 @@
 // collated batches, rung 3 serves on a lazily calibrated uniform-int8
 // QuantPlan; stepping back down restores FP32 bitwise.
 //
-// Per-stream state isolation: the engine resets LIF state at the start
-// of every inference and gives each batch lane its own membrane tensor,
-// so coalescing frames from different streams into one run_batched call
-// is bitwise identical to per-stream serial execution (run_batched's
-// per-sample contract; verified zoo-wide in test_serve).
+// Per-stream state isolation: the engine runs each batch lane through
+// the batch-1 path from reset LIF state, so coalescing frames from
+// different streams into one run_batched call is bitwise identical to
+// per-stream serial execution (run_batched's per-sample contract;
+// verified zoo-wide in test_serve).
 
 #include <cstdint>
 #include <functional>

@@ -55,21 +55,6 @@ void validate_conv_inputs(std::span<const CooChannel> input,
   }
 }
 
-/// Batched variants: every sample must individually validate and all
-/// samples must share extents (one geometry per merge batch).
-void validate_batch_inputs(std::span<const SparseSample> inputs,
-                           const DenseTensor& weights,
-                           std::span<const float> bias,
-                           const Conv2dSpec& spec) {
-  for (const SparseSample& sample : inputs) {
-    validate_conv_inputs(sample, weights, bias, spec);
-    if (sample[0].height() != inputs[0][0].height() ||
-        sample[0].width() != inputs[0][0].width()) {
-      throw std::invalid_argument("sparse conv batch: sample extents differ");
-    }
-  }
-}
-
 [[nodiscard]] std::size_t dense_mac_count(const Conv2dSpec& spec, int out_h,
                                           int out_w) {
   return static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w) *
@@ -167,7 +152,6 @@ void fill_bias_planes(float* o, std::span<const float> bias, int out_channels,
 
 /// Packs [oc][ic][ky][kx] weights into [tap offset][oc] layout so the
 /// per-tap lane loads in the reduction are contiguous (vectorizable).
-/// Shared across every sample of a batched call.
 void pack_weights(const DenseTensor& weights, std::vector<float>& packed) {
   const std::size_t oc_count = static_cast<std::size_t>(weights.shape().n);
   const std::size_t patch = weights.stride_n();
@@ -197,8 +181,9 @@ constexpr int kMaxAccum = 256;
 
 void reduce_sites(const ConvScratch& s, const float* packed_w,
                   std::span<const float> bias, int out_channels, int out_w,
-                  SubmanifoldThreading threading, int max_threads,
+                  SubmanifoldThreading threading,
                   std::vector<std::vector<CooEntry>>& out_entries) {
+  const int max_threads = core::parallel_thread_count();
   const std::size_t n_sites = s.sites.size();
   const int oc_blocks = (out_channels + kOcBlock - 1) / kOcBlock;
   const int site_chunks =
@@ -512,8 +497,8 @@ void clear_scratch_impl(std::span<const CooChannel> input, ConvScratch& s) {
 std::vector<CooChannel> gather_conv_sample(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
-    ConvScratch& s, SubmanifoldThreading threading, int max_threads,
-    ConvWork* work, const float* shared_packed_w = nullptr) {
+    ConvScratch& s, SubmanifoldThreading threading, ConvWork* work,
+    const float* shared_packed_w) {
   const GatherGeometry geo = build_taps_impl(input, spec, submanifold, s);
 
   const std::size_t sparse_macs =
@@ -527,7 +512,7 @@ std::vector<CooChannel> gather_conv_sample(
   std::vector<std::vector<CooEntry>> out_entries(
       static_cast<std::size_t>(spec.out_channels));
   reduce_sites(s, packed_w, bias, spec.out_channels, geo.out_w, threading,
-               max_threads, out_entries);
+               out_entries);
 
   clear_scratch_impl(input, s);
 
@@ -547,33 +532,6 @@ std::vector<CooChannel> gather_conv_sample(
   return out;
 }
 
-/// Worker layout for a batched call: samples split into contiguous
-/// chunks, one Workspace scratch slot per worker; the inner reduction
-/// gets the leftover thread budget.
-struct BatchPlan {
-  int workers = 1;
-  int chunk = 1;
-  int inner_threads = 1;
-};
-
-[[nodiscard]] BatchPlan plan_batch(int samples) {
-  BatchPlan plan;
-  const int threads = core::parallel_thread_count();
-  plan.workers = std::max(1, std::min(threads, samples));
-  plan.chunk = (samples + plan.workers - 1) / plan.workers;
-  plan.inner_threads = std::max(1, threads / plan.workers);
-  return plan;
-}
-
-void accumulate_work(ConvWork* work, std::span<const ConvWork> per_sample) {
-  if (work == nullptr) return;
-  for (const ConvWork& w : per_sample) {
-    work->dense_macs += w.dense_macs;
-    work->sparse_macs += w.sparse_macs;
-    work->nnz_in += w.nnz_in;
-  }
-}
-
 /// Validates a caller-provided pre-packed weight span (size must match
 /// the [tap][oc] transposition exactly; empty means "pack here").
 [[nodiscard]] const float* check_prepacked(std::span<const float> packed,
@@ -590,60 +548,12 @@ void accumulate_work(ConvWork* work, std::span<const ConvWork> per_sample) {
   return packed.data();
 }
 
-/// Shared driver for the two sparse-output batched kernels.
-std::vector<SparseSample> gather_conv_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
-    ConvWork* work, Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> prepacked) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("sparse conv batch: empty batch");
-  }
-  validate_batch_inputs(inputs, weights, bias, spec);
-  if (submanifold) require_submanifold_geometry(inputs[0], spec);
-
-  Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
-  const int n = static_cast<int>(inputs.size());
-  const BatchPlan plan = plan_batch(n);
-  arena.reserve_slots(static_cast<std::size_t>(plan.workers));
-  // Weights are packed once and shared read-only across all samples —
-  // or not at all, when the caller pre-packed them (CSR chains pack each
-  // layer once per run instead of once per layer invocation).
-  const float* packed_w = check_prepacked(prepacked, weights);
-  if (packed_w == nullptr) {
-    pack_weights(weights, arena.scratch(0).packed_w);
-    packed_w = arena.scratch(0).packed_w.data();
-  }
-
-  // Parallelize over WORKER indices, each owning one scratch slot and a
-  // contiguous sample range — slot exclusivity holds by construction,
-  // independent of how parallel_for schedules indices onto threads.
-  std::vector<SparseSample> out(inputs.size());
-  std::vector<ConvWork> per_sample(inputs.size());
-  core::parallel_for(
-      0, plan.workers,
-      [&](int worker) {
-        ConvScratch& scratch = arena.scratch(static_cast<std::size_t>(worker));
-        const int lo = worker * plan.chunk;
-        const int hi = std::min(n, lo + plan.chunk);
-        for (int i = lo; i < hi; ++i) {
-          out[static_cast<std::size_t>(i)] = gather_conv_sample(
-              inputs[static_cast<std::size_t>(i)], weights, bias, spec,
-              submanifold, scratch, threading, plan.inner_threads,
-              &per_sample[static_cast<std::size_t>(i)], packed_w);
-        }
-      },
-      plan.workers);
-  accumulate_work(work, per_sample);
-  return out;
-}
-
 }  // namespace
 
-DenseTensor sparse_conv2d(std::span<const CooChannel> input,
-                          const DenseTensor& weights,
-                          std::span<const float> bias, const Conv2dSpec& spec,
-                          ConvWork* work) {
+void sparse_conv2d_into(std::span<const CooChannel> input,
+                        const DenseTensor& weights,
+                        std::span<const float> bias, const Conv2dSpec& spec,
+                        DenseTensor& out, ConvWork* work) {
   validate_conv_inputs(input, weights, bias, spec);
   const int in_h = input[0].height();
   const int in_w = input[0].width();
@@ -652,11 +562,16 @@ DenseTensor sparse_conv2d(std::span<const CooChannel> input,
   const int out_w = conv_out_extent(in_w, spec.kernel, spec.stride,
                                     spec.padding);
 
-  DenseTensor out(TensorShape{1, spec.out_channels, out_h, out_w});
+  out.reset(TensorShape{1, spec.out_channels, out_h, out_w});
   const std::size_t out_plane =
       static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
   float* o = out.raw();
-  fill_bias_planes(o, bias, spec.out_channels, out_plane);
+  if (bias.empty()) {
+    // reset() leaves the buffer unspecified — scatter needs zeros.
+    std::fill(o, o + out.size(), 0.0f);
+  } else {
+    fill_bias_planes(o, bias, spec.out_channels, out_plane);
+  }
 
   // weights are [oc][ic][ky][kx]: fixing (ic, ky, kx) leaves a constant
   // oc-stride walk of Cin*k*k elements.
@@ -670,60 +585,14 @@ DenseTensor sparse_conv2d(std::span<const CooChannel> input,
     for (const CooChannel& ch : input) nnz_in += ch.nnz();
     work->nnz_in += nnz_in;
   }
-  return out;
 }
 
-void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
-                              const DenseTensor& weights,
-                              std::span<const float> bias,
-                              const Conv2dSpec& spec, DenseTensor& out,
-                              ConvWork* work) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("sparse_conv2d_batch: empty batch");
-  }
-  validate_batch_inputs(inputs, weights, bias, spec);
-  const int in_h = inputs[0][0].height();
-  const int in_w = inputs[0][0].width();
-  const int out_h = conv_out_extent(in_h, spec.kernel, spec.stride,
-                                    spec.padding);
-  const int out_w = conv_out_extent(in_w, spec.kernel, spec.stride,
-                                    spec.padding);
-  const int n = static_cast<int>(inputs.size());
-
-  out.reset(TensorShape{n, spec.out_channels, out_h, out_w});
-  const std::size_t out_plane =
-      static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
-  const std::size_t out_batch = out.stride_n();
-  float* o = out.raw();
-  const float* w = weights.raw();
-  const std::size_t w_oc_stride = weights.stride_n();
-
-  // Each sample owns a disjoint output slice — parallel over samples.
-  std::vector<ConvWork> per_sample(inputs.size());
-  core::parallel_for(0, n, [&](int i) {
-    const SparseSample& sample = inputs[static_cast<std::size_t>(i)];
-    float* o_n = o + static_cast<std::size_t>(i) * out_batch;
-    if (bias.empty()) {
-      // reset() leaves the buffer unspecified — scatter needs zeros.
-      std::fill(o_n, o_n + out_batch, 0.0f);
-    } else {
-      fill_bias_planes(o_n, bias, spec.out_channels, out_plane);
-    }
-    ConvWork& cw = per_sample[static_cast<std::size_t>(i)];
-    cw.dense_macs = dense_mac_count(spec, out_h, out_w);
-    cw.sparse_macs =
-        scatter_sample(sample, w, w_oc_stride, spec, out_h, out_w, o_n);
-    for (const CooChannel& ch : sample) cw.nnz_in += ch.nnz();
-  });
-  accumulate_work(work, per_sample);
-}
-
-DenseTensor sparse_conv2d_batch(std::span<const SparseSample> inputs,
-                                const DenseTensor& weights,
-                                std::span<const float> bias,
-                                const Conv2dSpec& spec, ConvWork* work) {
+DenseTensor sparse_conv2d(std::span<const CooChannel> input,
+                          const DenseTensor& weights,
+                          std::span<const float> bias, const Conv2dSpec& spec,
+                          ConvWork* work) {
   DenseTensor out;
-  sparse_conv2d_batch_into(inputs, weights, bias, spec, out, work);
+  sparse_conv2d_into(input, weights, bias, spec, out, work);
   return out;
 }
 
@@ -738,8 +607,7 @@ std::vector<CooChannel> submanifold_conv2d(std::span<const CooChannel> input,
   require_submanifold_geometry(input, spec);
   Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
   return gather_conv_sample(input, weights, bias, spec, /*submanifold=*/true,
-                            arena.scratch(0), threading,
-                            core::parallel_thread_count(), work,
+                            arena.scratch(), threading, work,
                             check_prepacked(packed_weights, weights));
 }
 
@@ -753,27 +621,8 @@ std::vector<CooChannel> sparse_conv2d_csr(std::span<const CooChannel> input,
   validate_conv_inputs(input, weights, bias, spec);
   Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
   return gather_conv_sample(input, weights, bias, spec, /*submanifold=*/false,
-                            arena.scratch(0), threading,
-                            core::parallel_thread_count(), work,
+                            arena.scratch(), threading, work,
                             check_prepacked(packed_weights, weights));
-}
-
-std::vector<SparseSample> submanifold_conv2d_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, ConvWork* work,
-    Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> packed_weights) {
-  return gather_conv_batch(inputs, weights, bias, spec, /*submanifold=*/true,
-                           work, workspace, threading, packed_weights);
-}
-
-std::vector<SparseSample> sparse_conv2d_csr_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, ConvWork* work,
-    Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> packed_weights) {
-  return gather_conv_batch(inputs, weights, bias, spec, /*submanifold=*/false,
-                           work, workspace, threading, packed_weights);
 }
 
 void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed) {
@@ -795,24 +644,20 @@ void clear_gather_scratch(std::span<const CooChannel> input,
   clear_scratch_impl(input, scratch);
 }
 
-namespace {
-
-/// Shared sparsify core: one sample slice of a [N, C, H, W] tensor into C
-/// COO channels. The raw scan emits entries already sorted and unique, so
-/// the channels adopt them without the from_entries sort/dedup pass.
-[[nodiscard]] std::vector<CooChannel> slice_to_channels_impl(
-    const DenseTensor& dense, int n) {
+std::vector<CooChannel> dense_to_channels(const DenseTensor& dense,
+                                          std::size_t* scanned_elements) {
   const TensorShape& s = dense.shape();
-  if (n < 0 || n >= s.n) {
-    throw std::invalid_argument("slice_to_channels: sample out of range");
+  if (s.n != 1) {
+    throw std::invalid_argument("dense_to_channels expects batch 1");
   }
+  if (scanned_elements != nullptr) *scanned_elements += s.element_count();
+  // The raw scan emits entries already sorted and unique, so the
+  // channels adopt them without the from_entries sort/dedup pass.
   const std::size_t plane = dense.stride_c();
-  const float* raw = dense.raw() + static_cast<std::size_t>(n) *
-                                       dense.stride_n();
   std::vector<CooChannel> channels;
   channels.reserve(static_cast<std::size_t>(s.c));
   for (int c = 0; c < s.c; ++c) {
-    const float* p = raw + static_cast<std::size_t>(c) * plane;
+    const float* p = dense.raw() + static_cast<std::size_t>(c) * plane;
     // Count first so the entry vector is allocated exactly once.
     std::size_t nnz = 0;
     for (std::size_t i = 0; i < plane; ++i) {
@@ -831,23 +676,6 @@ namespace {
                                                        std::move(entries)));
   }
   return channels;
-}
-
-}  // namespace
-
-std::vector<CooChannel> dense_to_channels(const DenseTensor& dense,
-                                          std::size_t* scanned_elements) {
-  if (dense.shape().n != 1) {
-    throw std::invalid_argument("dense_to_channels expects batch 1");
-  }
-  if (scanned_elements != nullptr) {
-    *scanned_elements += dense.shape().element_count();
-  }
-  return slice_to_channels_impl(dense, 0);
-}
-
-SparseSample slice_to_channels(const DenseTensor& dense, int n) {
-  return slice_to_channels_impl(dense, n);
 }
 
 void channels_into_slice(std::span<const CooChannel> channels,

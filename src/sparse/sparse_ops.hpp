@@ -14,7 +14,7 @@
 
 namespace evedge::sparse {
 
-/// One sample of a sparse batch: in_channels COO channels sharing extents.
+/// One sparse activation: in_channels COO channels sharing extents.
 using SparseSample = std::vector<CooChannel>;
 
 /// Threading axis for the per-site reduction of the gather kernels.
@@ -62,11 +62,20 @@ struct ConvWork {
                                         const Conv2dSpec& spec,
                                         ConvWork* work = nullptr);
 
+/// Allocation-free steady-state variant of sparse_conv2d: writes into
+/// `out`, reusing its buffer when capacity allows (the engine's
+/// spiking-current staging path — a sparse-routed spiking conv scatters
+/// straight into the dense LIF input, no COO materialization).
+void sparse_conv2d_into(std::span<const CooChannel> input,
+                        const DenseTensor& weights,
+                        std::span<const float> bias, const Conv2dSpec& spec,
+                        DenseTensor& out, ConvWork* work = nullptr);
+
 /// Submanifold sparse convolution (stride 1 only): output non-zeros are
 /// restricted to the union of input active sites, preventing dilation of
 /// the active set across layers. Returns out_channels sparse channels.
-/// `workspace`, when non-null, supplies the scratch arena (slot 0);
-/// otherwise a thread-local fallback arena is used. `packed_weights`,
+/// `workspace`, when non-null, supplies the scratch arena; otherwise a
+/// thread-local fallback arena is used. `packed_weights`,
 /// when non-empty, must be the [tap offset][oc] transposition of
 /// `weights` (pack_conv_weights) — chain callers pack each layer once
 /// instead of once per invocation.
@@ -91,50 +100,6 @@ struct ConvWork {
     ConvWork* work = nullptr, Workspace* workspace = nullptr,
     SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
     std::span<const float> packed_weights = {});
-
-// --- Batched entry points ------------------------------------------------
-// Process all samples of a DSFA merge batch in one call: weights are
-// validated and packed once, each sample keeps its own active-site list,
-// and samples are distributed over the worker pool (one Workspace scratch
-// slot per worker, inner reduction threading budget split accordingly).
-// Per-sample outputs are bitwise identical to the corresponding batch-1
-// call. All samples must share channel count and extents; an empty
-// batch throws.
-
-/// Batched submanifold convolution; result[i] is the output of sample i.
-[[nodiscard]] std::vector<SparseSample> submanifold_conv2d_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// Batched CSR-output strided convolution; result[i] matches
-/// sparse_conv2d_csr(inputs[i], ...).
-[[nodiscard]] std::vector<SparseSample> sparse_conv2d_csr_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// Batched dense-output scatter convolution: one [N, out_channels, out_h,
-/// out_w] tensor (a single allocation) whose slice n equals
-/// sparse_conv2d(inputs[n], ...).
-[[nodiscard]] DenseTensor sparse_conv2d_batch(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec,
-    ConvWork* work = nullptr);
-
-/// Allocation-free steady-state variant of sparse_conv2d_batch: writes
-/// into `out`, reusing its buffer when capacity allows (the engine's
-/// spiking-current staging path — a sparse-routed spiking conv scatters
-/// straight into the dense LIF input, no COO materialization).
-void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
-                              const DenseTensor& weights,
-                              std::span<const float> bias,
-                              const Conv2dSpec& spec, DenseTensor& out,
-                              ConvWork* work = nullptr);
 
 // --- Gather front-end (shared with alternative compute backends) ---------
 
@@ -178,17 +143,13 @@ void clear_gather_scratch(std::span<const CooChannel> input,
 // --- Chain boundaries (engine sparse-carrier entry points) ----------------
 // The density-adaptive engine keeps activations in COO form between
 // consecutive sparse-routed layers and crosses representations only at
-// route boundaries. These are those boundary crossings, batch-slice
-// aware (the engine's tensors are [N, C, H, W]).
+// route boundaries. These are those boundary crossings; the chain-head
+// sparsify is dense_to_channels above.
 
 /// Packs [oc][ic][ky][kx] conv weights into the [tap offset][oc] layout
 /// the gather reduction consumes. Chains pack each layer once (e.g. per
 /// run) and pass the result to the kernels above via `packed_weights`.
 void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed);
-
-/// Sparsifies sample `n` of a [N, C, H, W] tensor into COO channels
-/// (chain-head boundary). Extents and channel count come from `dense`.
-[[nodiscard]] SparseSample slice_to_channels(const DenseTensor& dense, int n);
 
 /// Densifies `channels` into sample `n` of `dense` (route-exit boundary):
 /// zero-fills the slice, then scatters the stored entries. `dense` must

@@ -27,15 +27,6 @@ std::int32_t* ConvScratch::iacc_buffer(std::size_t size) {
   return iacc.data();
 }
 
-ConvScratch& Workspace::scratch(std::size_t slot) {
-  reserve_slots(slot + 1);
-  return pool_[slot];
-}
-
-void Workspace::reserve_slots(std::size_t count) {
-  while (pool_.size() < count) pool_.emplace_back();
-}
-
 std::vector<float>& Workspace::packed_slot(int key) {
   return packed_slots_[key];
 }
@@ -45,27 +36,26 @@ std::size_t Workspace::retained_bytes() const noexcept {
   for (const auto& [key, packed] : packed_slots_) {
     bytes += packed.capacity() * sizeof(float);
   }
-  for (const ConvScratch& s : pool_) {
-    bytes += s.col.capacity() * sizeof(float);
-    bytes += s.active.capacity() * sizeof(std::uint8_t);
-    bytes += s.sites.capacity() * sizeof(std::int32_t);
-    bytes += s.taps.capacity() * sizeof(GatherTap);
-    bytes += s.site_ptr.capacity() * sizeof(std::size_t);
-    bytes += s.rank.capacity() * sizeof(std::int32_t);
-    bytes += s.cursor.capacity() * sizeof(std::size_t);
-    bytes += s.tap_stage.capacity() * sizeof(GatherTap);
-    bytes += s.tap_site.capacity() * sizeof(std::int32_t);
-    bytes += s.packed_w.capacity() * sizeof(float);
-    bytes += s.qin.capacity() * sizeof(std::int16_t);
-    bytes += s.qcol.capacity() * sizeof(std::int16_t);
-    bytes += s.qtaps.capacity() * sizeof(std::int16_t);
-    bytes += s.iacc.capacity() * sizeof(std::int32_t);
-  }
+  const ConvScratch& s = scratch_;
+  bytes += s.col.capacity() * sizeof(float);
+  bytes += s.active.capacity() * sizeof(std::uint8_t);
+  bytes += s.sites.capacity() * sizeof(std::int32_t);
+  bytes += s.taps.capacity() * sizeof(GatherTap);
+  bytes += s.site_ptr.capacity() * sizeof(std::size_t);
+  bytes += s.rank.capacity() * sizeof(std::int32_t);
+  bytes += s.cursor.capacity() * sizeof(std::size_t);
+  bytes += s.tap_stage.capacity() * sizeof(GatherTap);
+  bytes += s.tap_site.capacity() * sizeof(std::int32_t);
+  bytes += s.packed_w.capacity() * sizeof(float);
+  bytes += s.qin.capacity() * sizeof(std::int16_t);
+  bytes += s.qcol.capacity() * sizeof(std::int16_t);
+  bytes += s.qtaps.capacity() * sizeof(std::int16_t);
+  bytes += s.iacc.capacity() * sizeof(std::int32_t);
   return bytes;
 }
 
 void Workspace::clear() noexcept {
-  pool_.clear();
+  scratch_ = ConvScratch{};
   packed_slots_.clear();
 }
 

@@ -7,16 +7,14 @@
 // allocations: buffers grow monotonically to the high-water mark of the
 // shapes they have served and are reused across layers, samples and
 // run() calls. FunctionalNetwork owns one Workspace (nn::Workspace is an
-// alias); batched kernels draw one ConvScratch slot per concurrent
-// sample so workers never share mutable scratch.
+// alias) holding one ConvScratch; samples run one after another, so they
+// share it.
 //
-// Thread-safety contract: a Workspace (and each ConvScratch slot) may be
-// used by one thread at a time. Batched kernels that parallelize over
-// samples must reserve slots up front via scratch(slot) — growing the
-// pool is not concurrency-safe — and hand each worker its own slot.
+// Thread-safety contract: a Workspace may be used by one thread at a
+// time. Kernels that parallelize internally split their loops inside
+// one invocation and read the scratch the calling thread built.
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -71,39 +69,28 @@ struct ConvScratch {
   [[nodiscard]] std::int32_t* iacc_buffer(std::size_t size);
 };
 
-/// Arena of ConvScratch slots shared across layers and inference calls.
+/// Scratch arena shared across layers and inference calls.
 class Workspace {
  public:
-  /// Scratch slot `i` (slot 0 is the single-sample default). References
-  /// are stable across later growth. Growing the pool mutates the
-  /// workspace — reserve all needed slots before spawning workers.
-  [[nodiscard]] ConvScratch& scratch(std::size_t slot = 0);
-
-  /// Ensures slots [0, count) exist (pre-sizing hook for batched calls).
-  void reserve_slots(std::size_t count);
+  /// The kernel scratch every invocation on this workspace reuses.
+  [[nodiscard]] ConvScratch& scratch() noexcept { return scratch_; }
 
   /// Keyed packed-weight slot for chained sparse execution: the engine
   /// packs each sparse-routed layer's [tap][oc] weight rows once per run
   /// under its node id and hands the span to every kernel invocation of
   /// that layer (timesteps, samples), instead of re-packing per call.
-  /// References are stable until clear(). Same thread-safety contract as
-  /// scratch(): grow all needed keys before spawning workers.
+  /// References are stable until clear().
   [[nodiscard]] std::vector<float>& packed_slot(int key);
 
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return pool_.size();
-  }
-
-  /// Total bytes currently retained across all slots (observability /
-  /// tests; the arena never shrinks on its own).
+  /// Total bytes currently retained (observability / tests; the arena
+  /// never shrinks on its own).
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
   /// Releases every buffer (memory-pressure hook; the next calls regrow).
   void clear() noexcept;
 
  private:
-  // deque: slot references must survive pool growth.
-  std::deque<ConvScratch> pool_;
+  ConvScratch scratch_;
   // node-keyed packed-weight chains (unordered_map: stable references).
   std::unordered_map<int, std::vector<float>> packed_slots_;
 };

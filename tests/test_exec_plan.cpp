@@ -3,13 +3,16 @@
 // dense execution, CSR chain boundary accounting, submanifold stored-site
 // semantics, density telemetry agreement (hook, firing rate, thread
 // counts), plan validation atomicity, int8 composition, the cost-model
-// cold-start bridge and the per-node observer contract.
+// cold-start bridge, the per-node observer contract and the
+// multi-sample run_batched contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/batch_executor.hpp"
@@ -425,6 +428,26 @@ TEST(ExecutionPlanner, DensityTelemetryMatchesDirectMeasurement) {
 
 // ---------------------------------------------------- plan validation
 
+// The recalibration band is [probe/band, probe*band]; an empty probe's
+// band holds empty input only.
+TEST(ExecutionPlan, DensityBandAroundProbe) {
+  en::ExecutionPlan plan;
+  plan.probe_input_density = 0.01;
+  EXPECT_TRUE(plan.density_in_band(0.01, 4.0));
+  EXPECT_TRUE(plan.density_in_band(0.039, 4.0));
+  EXPECT_TRUE(plan.density_in_band(0.0026, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.041, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.0024, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.0, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.01, 0.5));
+
+  plan.probe_input_density = 0.0;
+  EXPECT_TRUE(plan.density_in_band(0.0, 4.0));
+  EXPECT_FALSE(plan.density_in_band(1e-6, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.01, 4.0));
+  EXPECT_FALSE(plan.density_in_band(0.0, 0.5));
+}
+
 TEST(ExecutionPlan, SetPlanValidatesAtomically) {
   const auto spec = en::build_network(en::NetworkId::kSpikeFlowNet,
                                       en::ZooConfig::test_scale());
@@ -650,7 +673,9 @@ TEST(SparseBoundaries, SliceRoundTripAndReluAndDensity) {
     if (i++ % 5 != 0) v = 0.0f;
   }
   for (int n = 0; n < 2; ++n) {
-    auto sample = es::slice_to_channels(batch, n);
+    es::DenseTensor lane;
+    es::copy_sample(batch, n, lane);
+    auto sample = es::dense_to_channels(lane);
     ASSERT_EQ(sample.size(), 3u);
     // Density telemetry agrees with the dense slice.
     double slice_density = 0.0;
@@ -682,8 +707,9 @@ TEST(SparseBoundaries, SliceRoundTripAndReluAndDensity) {
       EXPECT_NO_THROW(ch.validate());
     }
   }
-  EXPECT_THROW((void)es::slice_to_channels(batch, 2), std::invalid_argument);
-  const auto sample = es::slice_to_channels(batch, 0);
+  es::DenseTensor lane;
+  es::copy_sample(batch, 0, lane);
+  const auto sample = es::dense_to_channels(lane);
   es::DenseTensor wrong(es::TensorShape{2, 3, 5, 7});
   EXPECT_THROW(es::channels_into_slice(sample, wrong, 0),
                std::invalid_argument);
@@ -795,4 +821,116 @@ TEST(ExecObserver, OneCallPerNodeExecutionAtDavisScale) {
   EXPECT_EQ(counter.single_piece, counter.calls);
   ASSERT_EQ(routed_out.shape(), dense_out.shape());
   EXPECT_EQ(es::max_abs_diff(routed_out, dense_out), 0.0f);
+}
+
+// ------------------------------------------- multi-sample contract
+
+namespace {
+
+void add_stats(en::ExecStats& sum, const en::ExecStats& s) {
+  sum.node_executions += s.node_executions;
+  sum.sparse_node_runs += s.sparse_node_runs;
+  sum.sparsify_boundaries += s.sparsify_boundaries;
+  sum.densify_boundaries += s.densify_boundaries;
+  sum.sparse_macs += s.sparse_macs;
+  sum.dense_macs_avoided += s.dense_macs_avoided;
+}
+
+/// Stacks the [1, ...] tensors of `lanes` into one [N, ...] tensor.
+[[nodiscard]] es::DenseTensor stack_lanes(
+    const std::vector<const es::DenseTensor*>& lanes) {
+  const es::TensorShape& s = lanes.front()->shape();
+  es::DenseTensor out(es::TensorShape{static_cast<int>(lanes.size()), s.c,
+                                      s.h, s.w});
+  for (std::size_t n = 0; n < lanes.size(); ++n) {
+    std::copy(lanes[n]->raw(), lanes[n]->raw() + lanes[n]->size(),
+              out.raw() + n * out.stride_n());
+  }
+  return out;
+}
+
+}  // namespace
+
+// run_batched runs its samples one after another through run()'s batch-1
+// path. Across consecutive calls of different N, over frames of different
+// densities (one lane empty), lane n is bitwise run() on sample n, the
+// call's stats are the field-wise sum of its per-frame stats, and the
+// observer fires once per counted node execution. Fusion-FlowNet takes
+// one image per lane ([N, ...]).
+TEST(Engine, MultiSampleCallsSumPerFrameRuns) {
+  const std::pair<en::NetworkId, en::ZooConfig> cases[] = {
+      {en::NetworkId::kAdaptiveSpikeNet, en::ZooConfig{64, 88, 16, 5, 2.0f}},
+      {en::NetworkId::kFusionFlowNet, en::ZooConfig::test_scale()},
+  };
+  for (const auto& [id, scale] : cases) {
+    const auto spec = en::build_network(id, scale);
+    en::FunctionalNetwork net(spec, 7);
+    const Probe calib = make_probe(spec, 300, 0.02);
+    const auto plan =
+        en::ExecutionPlanner::calibrate(net, calib.steps, calib.image_ptr());
+    ASSERT_GT(plan.sparse_node_count(), 0) << spec.name;
+    net.set_execution_plan(&plan);
+    CallCounter counter;
+    net.set_exec_observer(&counter);
+
+    std::uint64_t seed = 400;
+    for (const int batch : {8, 3, 1, 5}) {
+      std::vector<Probe> probes;
+      for (int n = 0; n < batch; ++n) {
+        probes.push_back(make_probe(spec, seed++, 0.003 + 0.01 * n));
+      }
+      if (batch > 1) {
+        for (es::DenseTensor& step : probes[1].steps) {
+          std::fill(step.data().begin(), step.data().end(), 0.0f);
+        }
+      }
+      std::vector<es::DenseTensor> steps;
+      for (int t = 0; t < spec.timesteps; ++t) {
+        std::vector<const es::DenseTensor*> lanes;
+        for (const Probe& p : probes) {
+          lanes.push_back(&p.steps[static_cast<std::size_t>(t)]);
+        }
+        steps.push_back(stack_lanes(lanes));
+      }
+      es::DenseTensor image;
+      if (calib.has_image) {
+        std::vector<const es::DenseTensor*> lanes;
+        for (const Probe& p : probes) lanes.push_back(&p.image);
+        image = stack_lanes(lanes);
+      }
+
+      counter.calls = 0;
+      const auto out =
+          net.run_batched(steps, calib.has_image ? &image : nullptr);
+      const en::ExecStats stats = net.last_exec_stats();
+      EXPECT_EQ(counter.calls, stats.node_executions) << spec.name;
+
+      en::ExecStats sum;
+      ASSERT_EQ(out.shape().n, batch);
+      for (int n = 0; n < batch; ++n) {
+        const Probe& p = probes[static_cast<std::size_t>(n)];
+        const auto ref = net.run(p.steps, p.image_ptr());
+        add_stats(sum, net.last_exec_stats());
+        ASSERT_EQ(ref.size(), out.stride_n());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(
+              out.data()[static_cast<std::size_t>(n) * out.stride_n() + i],
+              ref.data()[i])
+              << spec.name << " N=" << batch << " lane " << n
+              << " element " << i;
+        }
+      }
+      EXPECT_EQ(stats.node_executions, sum.node_executions) << spec.name;
+      EXPECT_EQ(stats.sparse_node_runs, sum.sparse_node_runs) << spec.name;
+      EXPECT_EQ(stats.sparsify_boundaries, sum.sparsify_boundaries)
+          << spec.name;
+      EXPECT_EQ(stats.densify_boundaries, sum.densify_boundaries)
+          << spec.name;
+      EXPECT_EQ(stats.sparse_macs, sum.sparse_macs) << spec.name;
+      EXPECT_EQ(stats.dense_macs_avoided, sum.dense_macs_avoided)
+          << spec.name;
+    }
+    net.set_exec_observer(nullptr);
+    net.set_execution_plan(nullptr);
+  }
 }

@@ -521,6 +521,45 @@ TEST(DriftRecalibration, DensityShiftUpdatesWorkerRoutes) {
   EXPECT_EQ(sunk, 6u);
 }
 
+// One empty batch recalibrates once: the zero-density plan it leaves is
+// in band for further empty batches, so a quiet scene does not pay a
+// dense calibration per batch — and events coming back leave that band.
+TEST(DriftRecalibration, EmptyBatchesRecalibrateOnce) {
+  const en::NetworkSpec spec = en::build_network(
+      en::NetworkId::kDotie, en::ZooConfig{64, 88, 16, 5, 2.0f});
+  const auto shape =
+      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+  en::FunctionalNetwork prototype(spec, 7);
+
+  ev::WorkerConfig config;
+  config.recalibration_band = 4.0;
+  ev::ServeWorker worker(0, prototype, config);
+  std::size_t sunk = 0;
+  const ev::ResultSink sink =
+      [&](const ev::ReadyFrame&, const es::DenseTensor&, int, double) {
+        ++sunk;
+      };
+
+  const std::vector<ev::ReadyFrame> sparse_batch{
+      synthetic_ready(0, 0, shape.h, shape.w, 0.01, 41)};
+  worker.process_batch(sparse_batch, sink);
+  EXPECT_EQ(worker.stats().calibrations, 1u);
+  EXPECT_EQ(worker.stats().recalibrations, 0u);
+
+  ev::ReadyFrame empty;
+  empty.frame = es::SparseFrame::from_dense(
+      es::DenseTensor(es::TensorShape{1, 2, shape.h, shape.w}));
+  empty.enqueue_tp = std::chrono::steady_clock::now();
+  const std::vector<ev::ReadyFrame> empty_batch{empty, empty};
+  for (int i = 0; i < 5; ++i) worker.process_batch(empty_batch, sink);
+  EXPECT_EQ(worker.stats().recalibrations, 1u);
+  EXPECT_EQ(worker.stats().plan_probe_density, 0.0);
+
+  worker.process_batch(sparse_batch, sink);
+  EXPECT_EQ(worker.stats().recalibrations, 2u);
+  EXPECT_EQ(sunk, 12u);
+}
+
 // ------------------------------------------------------------ serve stats
 
 TEST(ServeStats, ReservoirPercentiles) {

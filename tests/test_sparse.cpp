@@ -722,79 +722,6 @@ TEST(SparseCsr, BiasAppliesAtActiveSitesOnly) {
   }
 }
 
-// Batched kernels must be bitwise identical to per-sample batch-1 calls,
-// across batch sizes and densities.
-TEST(SparseBatched, GatherKernelsBitMatchPerSample) {
-  const es::Conv2dSpec subm{2, 6, 3, 1, 1};
-  const es::Conv2dSpec strided{2, 6, 3, 2, 1};
-  es::DenseTensor w(es::TensorShape{6, 2, 3, 3});
-  w.fill_random(21, 0.5f);
-  const std::vector<float> bias{0.1f, 0.0f, -0.1f, 0.2f, 0.0f, -0.2f};
-
-  for (const int batch : {1, 2, 5}) {
-    std::vector<es::SparseSample> inputs;
-    for (int n = 0; n < batch; ++n) {
-      inputs.push_back(random_parity_channels(
-          2, 20, 24, 0.01 + 0.03 * n, 500 + static_cast<std::uint64_t>(n)));
-    }
-    es::Workspace ws;
-    es::ConvWork batch_work;
-    const auto subm_batch = es::submanifold_conv2d_batch(
-        inputs, w, bias, subm, &batch_work, &ws);
-    const auto csr_batch =
-        es::sparse_conv2d_csr_batch(inputs, w, bias, strided, nullptr, &ws);
-    ASSERT_EQ(subm_batch.size(), inputs.size());
-    ASSERT_EQ(csr_batch.size(), inputs.size());
-
-    es::ConvWork single_work;
-    for (int n = 0; n < batch; ++n) {
-      const auto& sample = inputs[static_cast<std::size_t>(n)];
-      expect_samples_bitwise_equal(
-          subm_batch[static_cast<std::size_t>(n)],
-          es::submanifold_conv2d(sample, w, bias, subm, &single_work));
-      expect_samples_bitwise_equal(
-          csr_batch[static_cast<std::size_t>(n)],
-          es::sparse_conv2d_csr(sample, w, bias, strided));
-    }
-    // Work counters accumulate over the whole batch.
-    EXPECT_EQ(batch_work.sparse_macs, single_work.sparse_macs);
-    EXPECT_EQ(batch_work.nnz_in, single_work.nnz_in);
-  }
-  // Empty batches throw, consistently with sparse_conv2d_batch.
-  EXPECT_THROW((void)es::submanifold_conv2d_batch({}, w, bias, subm),
-               std::invalid_argument);
-  EXPECT_THROW((void)es::sparse_conv2d_csr_batch({}, w, bias, strided),
-               std::invalid_argument);
-}
-
-TEST(SparseBatched, DenseScatterBatchMatchesSlices) {
-  const es::Conv2dSpec spec{3, 4, 3, 2, 1};
-  es::DenseTensor w(es::TensorShape{4, 3, 3, 3});
-  w.fill_random(31, 0.5f);
-  const std::vector<float> bias{0.5f, -0.5f, 0.25f, -0.25f};
-  std::vector<es::SparseSample> inputs;
-  for (int n = 0; n < 3; ++n) {
-    inputs.push_back(random_parity_channels(
-        3, 18, 22, 0.02 * (n + 1), 900 + static_cast<std::uint64_t>(n)));
-  }
-
-  const auto batched = es::sparse_conv2d_batch(inputs, w, bias, spec);
-  ASSERT_EQ(batched.shape().n, 3);
-  for (int n = 0; n < 3; ++n) {
-    const auto single =
-        es::sparse_conv2d(inputs[static_cast<std::size_t>(n)], w, bias, spec);
-    for (int c = 0; c < batched.shape().c; ++c) {
-      for (int y = 0; y < batched.shape().h; ++y) {
-        for (int x = 0; x < batched.shape().w; ++x) {
-          EXPECT_EQ(batched.at(n, c, y, x), single.at(0, c, y, x));
-        }
-      }
-    }
-  }
-  EXPECT_THROW((void)es::sparse_conv2d_batch({}, w, bias, spec),
-               std::invalid_argument);
-}
-
 // Both threading axes of the gather reduction produce bitwise-identical
 // channels (the per-(site, channel) accumulation order is the same).
 TEST(SubmanifoldThreading, AxesAreBitwiseIdentical) {
@@ -849,20 +776,4 @@ TEST(Workspace, ReuseIsStableAndStopsGrowing) {
   const auto after_clear =
       es::submanifold_conv2d(input, w, {}, spec, nullptr, &ws);
   expect_samples_bitwise_equal(first, after_clear);
-}
-
-TEST(Workspace, SlotsAreIndependentAndStable) {
-  es::Workspace ws;
-  es::ConvScratch& a = ws.scratch(0);
-  es::ConvScratch& b = ws.scratch(3);  // grows the pool past slot 3
-  EXPECT_EQ(ws.slot_count(), 4u);
-  a.sites.push_back(1);
-  b.sites.push_back(2);
-  EXPECT_NE(&ws.scratch(0), &ws.scratch(3));
-  EXPECT_EQ(ws.scratch(0).sites.size(), 1u);
-  EXPECT_EQ(ws.scratch(3).sites.size(), 1u);
-  // References stay valid across further growth (deque-backed pool).
-  ws.reserve_slots(16);
-  EXPECT_EQ(a.sites[0], 1);
-  EXPECT_EQ(b.sites[0], 2);
 }

@@ -894,6 +894,82 @@ TEST(WireServing, RunWireBitMatchesRunSerial) {
   }
 }
 
+TEST(WireServing, ReportSumsEveryWireLaneAcrossStreams) {
+  // A mid-stream disconnect through run_wire: every aggregate wire lane
+  // of the report is the sum of its per-stream lanes, including the
+  // session-health ones. Timeouts are generous so a loaded host slows
+  // the reconnect down without failing it.
+  const en::ZooConfig scale{32, 32, 8, 4, 2.0f};
+  const en::NetworkSpec spec =
+      en::build_network(en::NetworkId::kDotie, scale);
+
+  ev::ServeConfig config;
+  config.n_workers = 1;
+  config.queue_capacity = 64;
+  config.overflow = ev::OverflowPolicy::kBlock;
+  ev::ServingRuntime runtime(spec, 7, config);
+
+  const ee::EventStream stream = small_stream(0, 150'000, 81, 32, 32);
+  // ~8 data packets, so the disconnect site (seq 3) exists.
+  const std::size_t per_packet = std::min(
+      ew::kMaxEventsPerPacket,
+      std::max<std::size_t>(1, stream.events().size() / 8));
+  ew::NetFaultPlan plan;
+  plan.add({ew::NetFaultType::kDisconnect, 1, 3, 0.0});
+  const auto injector = std::make_shared<ew::NetFaultInjector>(plan);
+
+  ew::TcpListener listener;
+  ew::TcpListener* l = &listener;
+  const ev::TransportAcceptor acceptor =
+      [l](std::chrono::milliseconds timeout) { return l->accept(timeout); };
+
+  const std::uint16_t port = listener.port();
+  ew::WireSendStats send_stats;
+  std::thread tx([&] {
+    ew::WireSenderConfig cfg;
+    cfg.events_per_packet = per_packet;
+    cfg.resume_timeout = 5000ms;
+    ew::WireSender sender(stream, cfg,
+                          [port, injector]() -> std::unique_ptr<ew::Transport> {
+                            auto inner =
+                                ew::TcpTransport::connect(port, 5000ms);
+                            if (!inner) return nullptr;
+                            return std::make_unique<ew::NetFaultProxy>(
+                                std::move(inner), injector);
+                          });
+    send_stats = sender.run();
+  });
+
+  ev::WireIngressConfig wire_config;
+  wire_config.accept_timeout = 5000ms;
+  wire_config.receiver.stall_timeout = 5000ms;
+  const ev::ServeReport report = runtime.run_wire(
+      std::span<const ev::TransportAcceptor>(&acceptor, 1), wire_config);
+  tx.join();
+
+  EXPECT_TRUE(send_stats.completed);
+  EXPECT_EQ(injector->counts().disconnects, 1u);
+  EXPECT_TRUE(report.accounting_ok());
+  ev::StreamServeStats sum;
+  for (const ev::StreamServeStats& s : report.streams) {
+    sum.rejected_packets += s.rejected_packets;
+    sum.duplicate_packets += s.duplicate_packets;
+    sum.wire_resumes += s.wire_resumes;
+    sum.wire_heartbeats += s.wire_heartbeats;
+    sum.wire_rewinds += s.wire_rewinds;
+    sum.wire_resyncs += s.wire_resyncs;
+    sum.wire_reconnects += s.wire_reconnects;
+  }
+  EXPECT_EQ(report.rejected_packets, sum.rejected_packets);
+  EXPECT_EQ(report.duplicate_packets, sum.duplicate_packets);
+  EXPECT_EQ(report.wire_resumes, sum.wire_resumes);
+  EXPECT_EQ(report.wire_heartbeats, sum.wire_heartbeats);
+  EXPECT_EQ(report.wire_rewinds, sum.wire_rewinds);
+  EXPECT_EQ(report.wire_resyncs, sum.wire_resyncs);
+  EXPECT_EQ(report.wire_reconnects, sum.wire_reconnects);
+  EXPECT_GE(report.wire_reconnects, 1u);
+}
+
 TEST(WireServing, JournalRecordsWireRejections) {
   // A corrupt packet through run_wire lands in the journal and in the
   // rejected_packets lane, with the packet partition still exact.
