@@ -11,6 +11,7 @@ using sparse::CooChannel;
 using sparse::CooEntry;
 using sparse::DenseTensor;
 using sparse::SparseFrame;
+using sparse::SparseSample;
 using sparse::TensorShape;
 
 namespace {
@@ -24,22 +25,73 @@ namespace {
   return std::max(1, std::max(fy, fx));
 }
 
-/// Scatters one COO channel into the dense plane at `plane` (extent
-/// dst_h x dst_w, row stride dst_w), downsampling coordinates by
-/// `factor` and center-aligning; values accumulate, out-of-extent
-/// coordinates are cropped.
-void scatter_adapted(const CooChannel& ch, int factor, int off_y, int off_x,
-                     int dst_h, int dst_w, float* plane) {
+/// Downsamples one COO channel by `factor` and centre-aligns it at
+/// (off_y, off_x) inside a dst_h x dst_w channel, cropping coordinates
+/// that fall outside. Entries landing on one target site accumulate in
+/// source order, starting from the first value (a stable sort keeps that
+/// order), and sites whose sum cancels to 0 are dropped: the same float
+/// sequence a `+=` scatter into a zeroed dense plane performs, so the
+/// channel densifies bitwise to that scatter.
+[[nodiscard]] CooChannel adapt_channel(const CooChannel& ch, int factor,
+                                       int off_y, int off_x, int dst_h,
+                                       int dst_w) {
+  std::vector<CooEntry> entries;
+  entries.reserve(ch.nnz());
   for (const CooEntry& e : ch.entries()) {
     const int ty = e.row / factor + off_y;
     const int tx = e.col / factor + off_x;
     if (ty < 0 || ty >= dst_h || tx < 0 || tx >= dst_w) continue;
-    plane[static_cast<std::size_t>(ty) * static_cast<std::size_t>(dst_w) +
-          static_cast<std::size_t>(tx)] += e.value;
+    entries.push_back(CooEntry{ty, tx, e.value});
   }
+  const auto before = [](const CooEntry& a, const CooEntry& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Without downsampling the source order already is the target order.
+  if (!std::is_sorted(entries.begin(), entries.end(), before)) {
+    std::stable_sort(entries.begin(), entries.end(), before);
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < entries.size();) {
+    CooEntry site = entries[i];
+    for (++i; i < entries.size() && entries[i].row == site.row &&
+              entries[i].col == site.col;
+         ++i) {
+      site.value += entries[i].value;
+    }
+    if (site.value != 0.0f) entries[kept++] = site;
+  }
+  entries.resize(kept);
+  return CooChannel::from_sorted_entries(dst_h, dst_w, std::move(entries));
 }
 
 }  // namespace
+
+SparseSample frame_to_event_sample(const SparseFrame& frame,
+                                   const TensorShape& event_shape) {
+  const int h = event_shape.h;
+  const int w = event_shape.w;
+  const int factor = downsample_factor(frame.height(), frame.width(), h, w);
+  const int off_y = (h - (frame.height() + factor - 1) / factor) / 2;
+  const int off_x = (w - (frame.width() + factor - 1) / factor) / 2;
+  // SNN/hybrid nets take a 2-channel input per timestep; pure ANN nets
+  // stack all bins as channels. Either way the event input has 2
+  // channels per bin slot, and the merged frame fills every slot.
+  const int bins = std::max(1, event_shape.c / 2);
+  CooChannel pos = adapt_channel(frame.positive(), factor, off_y, off_x, h, w);
+  CooChannel neg = adapt_channel(frame.negative(), factor, off_y, off_x, h, w);
+  SparseSample sample(static_cast<std::size_t>(event_shape.c),
+                      CooChannel(h, w));
+  for (int c = 0; c < std::min(event_shape.c, 2 * bins); ++c) {
+    CooChannel& src = c % 2 == 0 ? pos : neg;
+    // The last slot takes the adapted channel; earlier slots copy it.
+    if (c + 2 >= 2 * bins) {
+      sample[static_cast<std::size_t>(c)] = std::move(src);
+    } else {
+      sample[static_cast<std::size_t>(c)] = src;
+    }
+  }
+  return sample;
+}
 
 void frames_to_event_steps(const std::vector<SparseFrame>& frames,
                            const TensorShape& event_shape, int timesteps,
@@ -48,31 +100,14 @@ void frames_to_event_steps(const std::vector<SparseFrame>& frames,
     throw std::invalid_argument("frames_to_event_steps: empty batch");
   }
   const int batch = static_cast<int>(frames.size());
-  const int h = event_shape.h;
-  const int w = event_shape.w;
-  // SNN/hybrid nets take a 2-channel tensor per timestep; pure ANN nets
-  // stack all bins as channels. Either way the event input has 2 channels
-  // per bin slot, and the merged frame fills every slot.
-  const int bins = std::max(1, event_shape.c / 2);
-  const TensorShape step_shape{batch, event_shape.c, h, w};
-
   steps.resize(static_cast<std::size_t>(timesteps));
   DenseTensor& step0 = steps.front();
-  step0.reset(step_shape);
-  std::fill(step0.data().begin(), step0.data().end(), 0.0f);
+  step0.reset(TensorShape{batch, event_shape.c, event_shape.h, event_shape.w});
   for (int n = 0; n < batch; ++n) {
-    const SparseFrame& frame = frames[static_cast<std::size_t>(n)];
-    const int factor = downsample_factor(frame.height(), frame.width(), h, w);
-    const int off_y = (h - (frame.height() + factor - 1) / factor) / 2;
-    const int off_x = (w - (frame.width() + factor - 1) / factor) / 2;
-    for (int b = 0; b < bins; ++b) {
-      float* pos = step0.raw() + step0.offset(n, 2 * b, 0, 0);
-      scatter_adapted(frame.positive(), factor, off_y, off_x, h, w, pos);
-      if (2 * b + 1 < event_shape.c) {
-        float* neg = step0.raw() + step0.offset(n, 2 * b + 1, 0, 0);
-        scatter_adapted(frame.negative(), factor, off_y, off_x, h, w, neg);
-      }
-    }
+    sparse::channels_into_slice(
+        frame_to_event_sample(frames[static_cast<std::size_t>(n)],
+                              event_shape),
+        step0, n);
   }
   // Identical event evidence at every timestep.
   for (std::size_t t = 1; t < steps.size(); ++t) steps[t] = step0;
@@ -116,32 +151,26 @@ const DenseTensor& BatchExecutor::execute(
   if (frames.empty()) {
     throw std::invalid_argument("BatchExecutor::execute: empty batch");
   }
-  const nn::NetworkSpec& spec = net_.spec();
-  const int batch = static_cast<int>(frames.size());
-  frames_to_event_steps(frames, event_shape_, spec.timesteps, steps_);
+  samples_.resize(frames.size());
+  for (std::size_t n = 0; n < frames.size(); ++n) {
+    samples_[n] = frame_to_event_sample(frames[n], event_shape_);
+  }
 
   if (planner_enabled_ && !plan_ready_) {
-    // First dispatched batch = warmup probe. calibrate() runs batch-1
-    // inputs, so probe on sample 0's slice; DSFA merges within a density
-    // band, so one sample's densities represent the batch.
-    if (batch == 1) {
-      plan_ = nn::ExecutionPlanner::calibrate(
-          net_, steps_, needs_image_ ? &image_ : nullptr, planner_options_);
-    } else {
-      std::vector<DenseTensor> probe(steps_.size());
-      for (std::size_t t = 0; t < steps_.size(); ++t) {
-        sparse::copy_sample(steps_[t], 0, probe[t]);
-      }
-      plan_ = nn::ExecutionPlanner::calibrate(
-          net_, probe, needs_image_ ? &image_ : nullptr, planner_options_);
-    }
+    // First dispatched batch = warmup probe. calibrate() runs dense
+    // batch-1 inputs, so probe on frame 0 alone; DSFA merges within a
+    // density band, so one sample's densities represent the batch.
+    std::vector<DenseTensor> probe;
+    frames_to_event_steps({frames.front()}, event_shape_,
+                          net_.spec().timesteps, probe);
+    plan_ = nn::ExecutionPlanner::calibrate(
+        net_, probe, needs_image_ ? &image_ : nullptr, planner_options_);
     net_.set_execution_plan(&plan_);
     plan_ready_ = true;
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  last_output_ =
-      net_.run_batched(steps_, needs_image_ ? &image_ : nullptr);
+  last_output_ = net_.run_events(samples_, needs_image_ ? &image_ : nullptr);
   const auto t1 = std::chrono::steady_clock::now();
 
   ++stats_.batches;

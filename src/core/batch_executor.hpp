@@ -1,12 +1,12 @@
 #pragma once
 
 // BatchExecutor: routes DSFA-dispatched merge batches through the REAL
-// batched functional path (FunctionalNetwork::run_batched) instead of
-// only the analytic cost model. The pipeline simulation stays the timing
+// functional engine (FunctionalNetwork::run_events) instead of only the
+// analytic cost model. The pipeline simulation stays the timing
 // authority; attaching an executor (PipelineConfig::executor) makes every
 // dispatched batch additionally execute on live kernels, so the fig8/fig9
-// harnesses exercise the batched engine end to end and report measured
-// wall time per batch alongside the modeled latency.
+// harnesses exercise the engine end to end and report measured wall time
+// per batch alongside the modeled latency.
 //
 // Input adaptation: merged frames arrive at sensor geometry while the
 // functional network usually runs at a reduced accuracy scale. Each
@@ -14,7 +14,7 @@
 // accumulation) and center-aligned to the network's event-input extent;
 // the merged frame then fills every event bin slot of the input
 // representation (bin-level reconstruction is e2e_accuracy's job — here
-// the goal is driving the batched compute path with live merged data).
+// the goal is driving the engine with live merged data).
 
 #include <cstdint>
 #include <vector>
@@ -24,15 +24,27 @@
 
 namespace evedge::core {
 
-/// Renders a DSFA merge batch into per-timestep network input tensors:
-/// each frame becomes one batch lane, its COO entries integer-downsampled
-/// and center-aligned to `event_shape` (the network's per-timestep event
-/// input, n == 1), the merged frame filling every event-bin channel slot
-/// and every timestep (identical event evidence per step — bin-level
-/// reconstruction is e2e_accuracy's job). `steps` is resized to
-/// `timesteps` tensors of [N, C, H, W] and reused across calls. Shared
-/// between BatchExecutor and the serving runtime's workers so concurrent
-/// serving consumes bitwise-identical inputs to the serial path.
+/// Adapts one merged frame to the network's event input in COO form:
+/// entries integer-downsampled and center-aligned to `event_shape` (the
+/// per-timestep event input, n == 1; colliding entries accumulate in
+/// source order and zero sums drop out), with the merged frame filling
+/// every event-bin channel slot (positive polarity in even slots,
+/// negative in odd ones; channels past the last full slot stay empty).
+/// The result has event_shape.c channels of event_shape.h x
+/// event_shape.w — the sample FunctionalNetwork::run_events presents at
+/// every timestep. It densifies bitwise to lane n of
+/// frames_to_event_steps.
+[[nodiscard]] sparse::SparseSample frame_to_event_sample(
+    const sparse::SparseFrame& frame, const sparse::TensorShape& event_shape);
+
+/// Dense rendering of a DSFA merge batch for run_batched: each frame
+/// becomes one batch lane (frame_to_event_sample densified) and every
+/// timestep gets the same tensor (identical event evidence per step —
+/// bin-level reconstruction is e2e_accuracy's job). `steps` is resized
+/// to `timesteps` tensors of [N, C, H, W] and reused across calls. The
+/// dense reference path (ServingRuntime::run_serial, planner
+/// calibration probes); serving workers and BatchExecutor pass the
+/// samples to run_events instead.
 void frames_to_event_steps(const std::vector<sparse::SparseFrame>& frames,
                            const sparse::TensorShape& event_shape,
                            int timesteps,
@@ -82,7 +94,7 @@ class BatchExecutor {
   }
 
   /// Executes one dispatched batch (one sample per merged frame) through
-  /// run_batched. Returns the [N, ...] output (valid until the next
+  /// run_events. Returns the [N, ...] output (valid until the next
   /// call).
   const sparse::DenseTensor& execute(
       const std::vector<sparse::SparseFrame>& frames);
@@ -97,7 +109,7 @@ class BatchExecutor {
   bool needs_image_ = false;
   sparse::DenseTensor image_;
   sparse::DenseTensor last_output_;
-  std::vector<sparse::DenseTensor> steps_;  ///< reused staging tensors
+  std::vector<sparse::SparseSample> samples_;  ///< adapted event inputs
   BatchExecutorStats stats_;
   // Lazily calibrated execution plan (installed on net_ while alive).
   bool planner_enabled_ = false;

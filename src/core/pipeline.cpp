@@ -84,7 +84,7 @@ PipelineStats simulate_frame_pipeline(
     if (config.executor != nullptr) {
       // Real batched execution of the dispatched merge batch; the
       // executor owns the bookkeeping (one wall-time definition:
-      // run_batched only) and the pipeline accumulates its deltas.
+      // run_events only) and the pipeline accumulates its deltas.
       const BatchExecutorStats before = config.executor->stats();
       (void)config.executor->execute(frames);
       const BatchExecutorStats& after = config.executor->stats();

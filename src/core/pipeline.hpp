@@ -36,7 +36,7 @@ struct PipelineConfig {
   bool charge_encode_overhead = false;
   double frame_rate_hz = 30.0;  ///< grayscale (APS) frame clock
   /// When non-null, every dispatched batch is additionally executed on
-  /// the real batched functional path (FunctionalNetwork::run_batched via
+  /// the real functional engine (FunctionalNetwork::run_events via
   /// BatchExecutor); measured wall time lands in the functional_* stats.
   /// The analytic cost model remains the simulation's timing authority.
   BatchExecutor* executor = nullptr;

@@ -110,21 +110,6 @@ FunctionalNetwork::FunctionalNetwork(NetworkSpec spec, std::uint64_t seed)
       default:
         break;
     }
-    if (ls.kind == LayerKind::kInput) {
-      // The event input changes every timestep; any further inputs (the
-      // grayscale image) are constant across the presentation.
-      time_invariant_[idx] = node.id != spec_.graph.input_ids().front();
-    } else {
-      // Stateless nodes fed only by constant inputs compute the same
-      // value at every timestep — run_sample caches them after t == 0.
-      bool invariant = !node.parents.empty();
-      for (const int parent : node.parents) {
-        invariant = invariant &&
-                    time_invariant_[static_cast<std::size_t>(parent)] != 0;
-      }
-      time_invariant_[idx] =
-          invariant && domain_of(ls.kind) == Domain::kAnn;
-    }
     if (ls.kind == LayerKind::kSpikingConv ||
         ls.kind == LayerKind::kAdaptiveSpikingConv) {
       is_spiking_[idx] = true;
@@ -356,6 +341,40 @@ void FunctionalNetwork::run_sparse_conv(const LayerNode& node,
   exec_stats_.dense_macs_avoided += work.dense_macs;
 }
 
+void FunctionalNetwork::synaptic_current(const LayerNode& node,
+                                         std::size_t idx,
+                                         DenseTensor& current) {
+  const LayerSpec& ls = node.spec;
+  const int parent = node.parents.front();
+  const Route route = effective_route(idx);
+  if (route == Route::kCsr && node_quant(idx) == nullptr &&
+      scatter_current_route(ls.conv)) {
+    // The LIF consumer needs dense current, so narrow layers scatter
+    // straight into the staging tensor — same arithmetic as CSR +
+    // densify (bitwise, incl. the implicit zero-bias fill), minus the
+    // COO materialization and the per-site bookkeeping. Wide layers keep
+    // the vectorized gather reduction below.
+    sparse::ConvWork work;
+    sparse::sparse_conv2d_into(sparse_value(parent), weights_[idx],
+                               biases_[idx], ls.conv, current, &work);
+    ++exec_stats_.sparse_node_runs;
+    exec_stats_.sparse_macs += work.sparse_macs;
+    exec_stats_.dense_macs_avoided += work.dense_macs;
+  } else if (route != Route::kDense) {
+    run_sparse_conv(node, idx, route);
+    densify(sparse_values_[idx], current);
+    ++exec_stats_.densify_boundaries;
+    // The carrier held the pre-LIF current, not this node's output —
+    // invalidate it before the spikes land.
+    sparse_valid_[idx] = 0;
+  } else if (const auto* nq = node_quant(idx)) {
+    run_quant_conv(*nq, dense_value(parent), biases_[idx], current);
+  } else {
+    conv2d_into(dense_value(parent), weights_[idx], biases_[idx], ls.conv,
+                current, &workspace_);
+  }
+}
+
 void FunctionalNetwork::run_quant_conv(const quant::NodeQuantPlan& nq,
                                        const DenseTensor& input,
                                        std::span<const float> bias,
@@ -426,16 +445,77 @@ DenseTensor FunctionalNetwork::run_batched(
       throw std::invalid_argument("run_batched: inconsistent batch sizes");
     }
   }
-  if (image != nullptr && image->shape().n != 1 &&
-      image->shape().n != batch) {
-    throw std::invalid_argument("run_batched: image batch must be 1 or N");
-  }
-  const std::vector<int> inputs = spec_.graph.input_ids();
   if (static_cast<int>(event_steps.size()) != spec_.timesteps) {
     throw std::invalid_argument(
         "run: expected " + std::to_string(spec_.timesteps) +
         " timestep inputs, got " + std::to_string(event_steps.size()));
   }
+  return run_lanes(batch, event_steps, {}, image);
+}
+
+DenseTensor FunctionalNetwork::run_events(
+    std::span<const sparse::SparseSample> events, const DenseTensor* image) {
+  if (events.empty()) {
+    throw std::invalid_argument("run_events: no event samples");
+  }
+  // Callers outside the serving worker build samples by hand, so each
+  // one is checked against the event input before the run touches it.
+  const TensorShape& in =
+      spec_.graph.node(spec_.graph.input_ids().front()).spec.out_shape;
+  for (const sparse::SparseSample& sample : events) {
+    if (static_cast<int>(sample.size()) != in.c) {
+      throw std::invalid_argument(
+          "run_events: sample has " + std::to_string(sample.size()) +
+          " channels, the event input takes " + std::to_string(in.c));
+    }
+    for (const sparse::CooChannel& ch : sample) {
+      if (ch.height() != in.h || ch.width() != in.w) {
+        throw std::invalid_argument(
+            "run_events: channel extent " + std::to_string(ch.height()) +
+            "x" + std::to_string(ch.width()) + " differs from the event "
+            "input's " + std::to_string(in.h) + "x" + std::to_string(in.w));
+      }
+      try {
+        ch.validate();
+      } catch (const std::logic_error& e) {
+        throw std::invalid_argument(std::string("run_events: ") + e.what());
+      }
+    }
+  }
+  return run_lanes(static_cast<int>(events.size()), {}, events, image);
+}
+
+void FunctionalNetwork::mark_time_invariant(int event_input,
+                                            bool events_invariant) {
+  for (const LayerNode& node : spec_.graph.nodes()) {
+    const auto idx = static_cast<std::size_t>(node.id);
+    if (node.spec.kind == LayerKind::kInput) {
+      // Further inputs (the grayscale image) are constant across the
+      // presentation, and so is the event input when run_events presents
+      // one sample at every timestep.
+      time_invariant_[idx] = node.id != event_input || events_invariant;
+      continue;
+    }
+    // Stateless nodes fed only by constant inputs compute the same
+    // value at every timestep — run_sample caches them after t == 0.
+    bool invariant = !node.parents.empty();
+    for (const int parent : node.parents) {
+      invariant =
+          invariant && time_invariant_[static_cast<std::size_t>(parent)] != 0;
+    }
+    time_invariant_[idx] =
+        invariant && domain_of(node.spec.kind) == Domain::kAnn;
+  }
+}
+
+DenseTensor FunctionalNetwork::run_lanes(
+    int batch, std::span<const DenseTensor> event_steps,
+    std::span<const sparse::SparseSample> events, const DenseTensor* image) {
+  if (image != nullptr && image->shape().n != 1 &&
+      image->shape().n != batch) {
+    throw std::invalid_argument("run: image batch must be 1 or N");
+  }
+  const std::vector<int> inputs = spec_.graph.input_ids();
   if (inputs.size() > 1 && image == nullptr) {
     throw std::invalid_argument("run: network requires an image input");
   }
@@ -444,6 +524,7 @@ DenseTensor FunctionalNetwork::run_batched(
   const std::size_t n_nodes = spec_.graph.size();
   values_.resize(n_nodes);
   sparse_values_.resize(n_nodes);
+  kept_current_.resize(n_nodes);
   exec_stats_ = ExecStats{};
   prepare_packed_weights();
   // Spiking nodes feeding a sparse-routed consumer this run emit their
@@ -465,14 +546,21 @@ DenseTensor FunctionalNetwork::run_batched(
   }
   const int event_input = inputs.front();
   const int output = spec_.graph.output_ids().front();
+  mark_time_invariant(event_input, /*events_invariant=*/!events.empty());
 
   // Samples run one after another through the batch-1 path, so lane n
   // is exactly run() on sample n.
-  if (batch == 1) return run_sample(event_steps, image, 0, event_input, output);
+  const auto lane_events = [&events](int n) {
+    return events.empty() ? nullptr : &events[static_cast<std::size_t>(n)];
+  };
+  if (batch == 1) {
+    return run_sample(event_steps, lane_events(0), image, 0, event_input,
+                      output);
+  }
   DenseTensor out;
   for (int n = 0; n < batch; ++n) {
-    const DenseTensor lane =
-        run_sample(event_steps, image, n, event_input, output);
+    const DenseTensor lane = run_sample(event_steps, lane_events(n), image, n,
+                                       event_input, output);
     if (n == 0) {
       const TensorShape& ls = lane.shape();
       out.reset(TensorShape{batch, ls.c, ls.h, ls.w});
@@ -484,24 +572,26 @@ DenseTensor FunctionalNetwork::run_batched(
 }
 
 DenseTensor FunctionalNetwork::run_sample(
-    std::span<const DenseTensor> event_steps, const DenseTensor* image,
-    int lane, int event_input, int output) {
+    std::span<const DenseTensor> event_steps,
+    const sparse::SparseSample* events, const DenseTensor* image, int lane,
+    int event_input, int output) {
   reset_spiking_state();
 
   DenseTensor accumulated;
   const std::size_t n_nodes = spec_.graph.size();
   std::vector<DenseTensor>& values = values_;
 
-  // Timestep-invariant caching: stateless nodes fed only by the constant
-  // image input compute identical values every timestep (e.g. the whole
-  // Fusion-FlowNet / HALSIE image encoder), so after t == 0 they are
-  // skipped and their cached value reused — bitwise identical to
-  // recomputation. Hooks observe (and may mutate) every node at every
-  // timestep, so an installed hook disables the cache.
+  // Timestep-invariant caching: stateless nodes fed only by constant
+  // inputs compute identical values every timestep (e.g. the whole
+  // Fusion-FlowNet / HALSIE image encoder, and under run_events the
+  // event input itself), so after t == 0 they are skipped and their
+  // cached value reused — bitwise identical to recomputation. A spiking
+  // node fed by such a node keeps its t == 0 synaptic current. Hooks
+  // observe (and may mutate) every node at every timestep, so an
+  // installed hook disables both.
   const bool cache_invariant = !activation_hook_;
 
   for (int t = 0; t < spec_.timesteps; ++t) {
-    const DenseTensor& step = event_steps[static_cast<std::size_t>(t)];
     // Every non-cached node recomputes this timestep; neither
     // representation of the previous step's activations is valid any
     // more.
@@ -533,7 +623,18 @@ DenseTensor FunctionalNetwork::run_sample(
       DenseTensor& out = values[idx];
       switch (ls.kind) {
         case LayerKind::kInput: {
-          const DenseTensor& src = node.id == event_input ? step : *image;
+          if (node.id == event_input && events != nullptr) {
+            // run_events: the sample (validated there) is the node's COO
+            // carrier; sparse consumers read it as is and a dense
+            // consumer densifies it once (dense_value).
+            sparse_values_[idx] = *events;
+            sparse_valid_[idx] = 1;
+            break;
+          }
+          const DenseTensor& src =
+              node.id == event_input
+                  ? event_steps[static_cast<std::size_t>(t)]
+                  : *image;
           const TensorShape& ss = src.shape();
           if (ss.c != ls.out_shape.c || ss.h != ls.out_shape.h ||
               ss.w != ls.out_shape.w) {
@@ -583,39 +684,19 @@ DenseTensor FunctionalNetwork::run_sample(
         case LayerKind::kAdaptiveSpikingConv: {
           // The synaptic-current conv routes dense or sparse; the LIF
           // update stays float over the dense current (membrane state is
-          // dense by nature), so the spike output is always dense.
-          const Route route = effective_route(idx);
-          if (route == Route::kCsr && node_quant(idx) == nullptr &&
-              scatter_current_route(ls.conv)) {
-            // The LIF consumer needs dense current, so narrow layers
-            // scatter straight into the staging tensor — same arithmetic
-            // as CSR + densify (bitwise, incl. the implicit zero-bias
-            // fill), minus the COO materialization and the per-site
-            // bookkeeping. Wide layers keep the vectorized gather
-            // reduction below.
-            sparse::ConvWork work;
-            sparse::sparse_conv2d_into(sparse_value(node.parents.front()),
-                                       weights_[idx], biases_[idx], ls.conv,
-                                       conv_scratch_, &work);
-            ++exec_stats_.sparse_node_runs;
-            exec_stats_.sparse_macs += work.sparse_macs;
-            exec_stats_.dense_macs_avoided += work.dense_macs;
-          } else if (route != Route::kDense) {
-            run_sparse_conv(node, idx, route);
-            densify(sparse_values_[idx], conv_scratch_);
-            ++exec_stats_.densify_boundaries;
-            // The carrier held the pre-LIF current, not this node's
-            // output — invalidate it before the spikes land in `out`.
-            sparse_valid_[idx] = 0;
-          } else if (const auto* nq = node_quant(idx)) {
-            run_quant_conv(*nq, dense_value(node.parents[0]), biases_[idx],
-                           conv_scratch_);
-          } else {
-            conv2d_into(dense_value(node.parents[0]), weights_[idx],
-                        biases_[idx], ls.conv, conv_scratch_, &workspace_);
-          }
+          // dense by nature). The spikes leave dense, or as COO when a
+          // sparse-routed consumer reads them (spike_sparse_emit_).
+          // Fed by a timestep-invariant parent, the node computes its
+          // current once, at t == 0, into a kept per-node buffer: the
+          // same input gives the same floats at every step.
+          const int parent = node.parents.front();
+          const bool keep =
+              cache_invariant &&
+              time_invariant_[static_cast<std::size_t>(parent)] != 0;
+          DenseTensor& current = keep ? kept_current_[idx] : conv_scratch_;
+          if (!keep || t == 0) synaptic_current(node, idx, current);
           if (spike_sparse_emit_[idx]) {
-            lif_[idx].step_sparse(conv_scratch_, spike_staging_);
+            lif_[idx].step_sparse(current, spike_staging_);
             const TensorShape& os = lif_[idx].shape();
             sparse::SparseSample& sample = sparse_values_[idx];
             sample.resize(static_cast<std::size_t>(os.c));
@@ -629,7 +710,7 @@ DenseTensor FunctionalNetwork::run_sample(
             sparse_valid_[idx] = 1;
             dense_valid_[idx] = 0;
           } else {
-            out = lif_[idx].step(conv_scratch_);
+            out = lif_[idx].step(current);
             dense_valid_[idx] = 1;
           }
           break;

@@ -9,6 +9,8 @@
 //  - SNN / hybrid nets: the event bins are presented sequentially as
 //    `timesteps` 2-channel frames; spiking layers keep membrane state
 //    across steps; the network output is the mean over timesteps.
+//    run_events presents one COO event sample (a DSFA merged frame) at
+//    every timestep; run()/run_batched() take one dense tensor per step.
 //  - pure ANN nets: timesteps == 1 and all bins are stacked as channels.
 //  - two-input nets (Fusion-FlowNet, HALSIE) additionally take a
 //    grayscale image, constant across timesteps.
@@ -42,14 +44,19 @@ struct NodeQuantPlan;
 namespace evedge::nn {
 
 /// Per-call telemetry of the route-dispatched executor (reset by every
-/// run()/run_batched(); counters accumulate over timesteps and, in a
-/// multi-sample run_batched() call, over its samples: the call reports
-/// the field-wise sum of its per-sample run() stats).
+/// run()/run_batched()/run_events(); counters accumulate over timesteps
+/// and, in a multi-sample call, over its samples: the call reports the
+/// field-wise sum of its per-sample stats).
 struct ExecStats {
   std::size_t node_executions = 0;     ///< nodes actually executed (the
                                        ///< timestep-invariant cache skips
-                                       ///< constant-image subgraphs)
-  std::size_t sparse_node_runs = 0;    ///< node executions on sparse routes
+                                       ///< constant-image subgraphs and,
+                                       ///< under run_events, the event
+                                       ///< input after t == 0)
+  std::size_t sparse_node_runs = 0;    ///< sparse-route conv kernels run
+                                       ///< (a spiking node keeping its
+                                       ///< t == 0 current counts once per
+                                       ///< sample)
   std::size_t sparsify_boundaries = 0; ///< dense -> COO carrier conversions
   std::size_t densify_boundaries = 0;  ///< COO carrier -> dense conversions
   std::size_t sparse_macs = 0;         ///< MACs the sparse kernels executed
@@ -60,7 +67,7 @@ struct ExecStats {
 /// engine actually executes (cache-skipped nodes never fire), with the
 /// route the node took, the timestep, and raw steady_clock nanosecond
 /// stamps bracketing the node's kernel (+ activation hook). A
-/// multi-sample run_batched() call runs its samples one after another,
+/// multi-sample call runs its samples one after another,
 /// so the observer sees each sample's executions in turn (the timestep
 /// restarts at 0 per sample): exactly ExecStats::node_executions calls
 /// per call. Every node runs as one piece, so the engine passes
@@ -110,8 +117,27 @@ class FunctionalNetwork {
   /// to run() over sample n alone — the samples run one after another
   /// through run()'s batch-1 path, each from rest. `image`, when
   /// required, may be [1, ...] (shared by every sample) or [N, ...].
+  /// The dense reference path (ServingRuntime::run_serial).
   [[nodiscard]] sparse::DenseTensor run_batched(
       std::span<const sparse::DenseTensor> event_steps,
+      const sparse::DenseTensor* image = nullptr);
+
+  /// Event-proportional inference over N merged frames given as COO
+  /// samples (core::frame_to_event_sample), each presented unchanged at
+  /// every timestep — the serving workers' entry point. Lane n of the
+  /// [N, ...] result is bitwise run_batched() over the dense steps of
+  /// sample n (core::frames_to_event_steps of the same frame). The event
+  /// input adopts the sample as its COO carrier: sparse-routed consumers
+  /// read it with no sparsify step, and a dense consumer densifies it
+  /// once per sample. The input joins the timestep-invariant set, so a
+  /// spiking layer fed by it computes its synaptic current once per
+  /// sample and steps LIF on that kept current (off while an activation
+  /// hook is installed, like the rest of the invariant cache). Every
+  /// sample must have the event input's channel count and extents, and
+  /// every channel must pass CooChannel::validate(); otherwise throws
+  /// std::invalid_argument. `image` as in run_batched().
+  [[nodiscard]] sparse::DenseTensor run_events(
+      std::span<const sparse::SparseSample> events,
       const sparse::DenseTensor* image = nullptr);
 
   [[nodiscard]] const NetworkSpec& spec() const noexcept { return spec_; }
@@ -163,8 +189,9 @@ class FunctionalNetwork {
     return exec_plan_;
   }
 
-  /// Route/boundary telemetry of the last run() / run_batched(); a
-  /// multi-sample call reports the sum over its samples (ExecStats).
+  /// Route/boundary telemetry of the last run() / run_batched() /
+  /// run_events(); a multi-sample call reports the sum over its samples
+  /// (ExecStats).
   [[nodiscard]] const ExecStats& last_exec_stats() const noexcept {
     return exec_stats_;
   }
@@ -203,12 +230,25 @@ class FunctionalNetwork {
 
  private:
   void reset_spiking_state();
+  /// Fills time_invariant_ for one call: the image input, the event
+  /// input when `events_invariant` (run_events), and every stateless
+  /// node fed only by invariant nodes.
+  void mark_time_invariant(int event_input, bool events_invariant);
+  /// The shared body of run_batched() and run_events(): per-call setup,
+  /// then every lane through run_sample. Exactly one of `event_steps`
+  /// (dense, one tensor per timestep) and `events` (one COO sample per
+  /// lane) is non-empty.
+  [[nodiscard]] sparse::DenseTensor run_lanes(
+      int batch, std::span<const sparse::DenseTensor> event_steps,
+      std::span<const sparse::SparseSample> events,
+      const sparse::DenseTensor* image);
   /// Runs sample `lane` of the call's inputs (the per-call setup in
-  /// run_batched() already ran) and returns its [1, ...] output.
+  /// run_lanes() already ran) and returns its [1, ...] output. `events`
+  /// is the lane's COO sample under run_events, nullptr otherwise.
   [[nodiscard]] sparse::DenseTensor run_sample(
       std::span<const sparse::DenseTensor> event_steps,
-      const sparse::DenseTensor* image, int lane, int event_input,
-      int output);
+      const sparse::SparseSample* events, const sparse::DenseTensor* image,
+      int lane, int event_input, int output);
   /// The active plan entry for a node (nullptr when the node runs FP32).
   [[nodiscard]] const quant::NodeQuantPlan* node_quant(
       std::size_t idx) const noexcept {
@@ -246,6 +286,10 @@ class FunctionalNetwork {
   /// Executes one conv-shaped node on a sparse route into its COO
   /// carrier (float gather kernels, or the int8 ones when planned).
   void run_sparse_conv(const LayerNode& node, std::size_t idx, Route route);
+  /// Computes a spiking node's synaptic current (its conv, on the node's
+  /// route) into the dense `current` its LIF state steps on.
+  void synaptic_current(const LayerNode& node, std::size_t idx,
+                        sparse::DenseTensor& current);
   /// Densifies `sample` into `out` ([1, C, H, W]).
   void densify(const sparse::SparseSample& sample, sparse::DenseTensor& out);
 
@@ -256,17 +300,21 @@ class FunctionalNetwork {
   std::vector<std::vector<float>> channel_threshold_;  // adaptive LIF
   std::vector<LifState> lif_;                  // per node (spiking only)
   std::vector<bool> is_spiking_;
-  // Nodes whose value cannot change across timesteps (the constant
-  // image input and every stateless node fed only by such nodes);
-  // run_impl computes them once per run instead of once per timestep.
+  // Nodes whose value cannot change across timesteps this call (the
+  // constant image input, the event input under run_events, and every
+  // stateless node fed only by such nodes); run_sample computes them
+  // once per sample instead of once per timestep.
   std::vector<std::uint8_t> time_invariant_;
   ActivationHook activation_hook_;
   // Steady-state buffers: per-node activations, the spiking-conv synaptic
   // current staging tensor and the kernel scratch arena are all reused
   // across run() calls (and across the samples of a batched run).
+  // Spiking nodes fed by a timestep-invariant parent keep their t == 0
+  // current in their own kept_current_ slot instead of conv_scratch_.
   sparse::Workspace workspace_;
   std::vector<sparse::DenseTensor> values_;
   sparse::DenseTensor conv_scratch_;
+  std::vector<sparse::DenseTensor> kept_current_;
   // Per-layer precision plan: non-owning pointer plus a per-node index,
   // and a staging tensor for the simulate path's quantized input copies.
   const quant::QuantPlan* quant_plan_ = nullptr;

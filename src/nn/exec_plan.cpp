@@ -174,9 +174,13 @@ namespace {
     if (!all_zero(net.bias(node.id))) continue;
     const auto pidx = static_cast<std::size_t>(parent);
     const double d_in = plan.output_density[pidx];
-    // Chain head: the parent's carrier is dense unless the parent is a
-    // plain conv that was itself routed sparse (spiking outputs always
-    // materialize densely through the LIF state).
+    // Chain head: the cost model charges the sparsify boundary unless
+    // the parent is a plain conv that was itself routed sparse. A
+    // spiking parent of a sparse consumer actually emits COO straight
+    // from its LIF step (step_sparse), and under run_events the event
+    // input arrives as COO, so neither is scanned; the model still
+    // charges both as chain heads, which is conservative and keeps the
+    // routes its crossover constants were fit on.
     const bool parent_chains =
         plan.route[pidx] != Route::kDense &&
         spec.graph.node(parent).spec.kind == LayerKind::kConv;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 namespace evedge::obs {
 
@@ -40,6 +41,16 @@ Tracer& Tracer::instance() {
   return tracer;
 }
 
+Tracer::Ring::Ring(std::size_t capacity, std::uint32_t tid)
+    : slots(std::allocator<TraceEvent>{}.allocate(capacity)),
+      capacity(capacity),
+      tid(tid) {}
+
+Tracer::Ring::~Ring() {
+  // TraceEvent is trivially destructible: releasing the storage is all.
+  std::allocator<TraceEvent>{}.deallocate(slots, capacity);
+}
+
 void Tracer::set_ring_capacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   capacity_ = std::max<std::size_t>(1, capacity);
@@ -52,10 +63,23 @@ std::size_t Tracer::ring_capacity() const noexcept {
 
 void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const std::unique_ptr<Ring>& ring : rings_) {
+  std::erase_if(free_rings_, [this](const std::unique_ptr<Ring>& ring) {
+    return ring->capacity != capacity_;
+  });
+  std::vector<std::unique_ptr<Ring>> live;
+  live.reserve(rings_.size());
+  for (std::unique_ptr<Ring>& ring : rings_) {
     ring->count.store(0, std::memory_order_release);
     ring->dropped.store(0, std::memory_order_relaxed);
+    if (!ring->released.load(std::memory_order_acquire)) {
+      live.push_back(std::move(ring));
+    } else if (ring->capacity == capacity_) {
+      ring->released.store(false, std::memory_order_relaxed);
+      free_rings_.push_back(std::move(ring));
+    }
+    // A released ring of another capacity is freed here.
   }
+  rings_ = std::move(live);
 }
 
 std::vector<TraceEvent> Tracer::collect() const {
@@ -63,7 +87,7 @@ std::vector<TraceEvent> Tracer::collect() const {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   for (const std::unique_ptr<Ring>& ring : rings_) {
     const std::uint32_t n = ring->count.load(std::memory_order_acquire);
-    out.insert(out.end(), ring->slots.begin(), ring->slots.begin() + n);
+    out.insert(out.end(), ring->slots, ring->slots + n);
   }
   return out;
 }
@@ -79,35 +103,57 @@ std::uint64_t Tracer::dropped() const noexcept {
 
 std::size_t Tracer::ring_count() const {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
-  return rings_.size();
+  return rings_.size() + free_rings_.size();
 }
 
 Tracer::Ring& Tracer::local_ring() {
-  // First emit on a thread registers its ring (the only locked path on
-  // the way to a slot); afterwards the thread-local pointer short-cuts
+  // First emit on a thread registers a ring (the only locked path on
+  // the way to a slot) — a free one of the installed capacity when
+  // clear() recycled some; afterwards the thread-local lease short-cuts
   // straight to it. Rings are owned by the registry and outlive their
-  // threads, so a snapshot after a worker joined still sees its events.
-  thread_local Ring* ring = nullptr;
-  thread_local const Tracer* owner = nullptr;
-  if (ring == nullptr || owner != this) {
+  // threads: the lease only marks its ring released at thread exit, so
+  // a snapshot after a worker joined still sees its events. Thread-local
+  // destructors run before static ones, so the registry is still alive.
+  struct Lease {
+    Ring* ring = nullptr;
+    ~Lease() {
+      if (ring != nullptr) {
+        ring->released.store(true, std::memory_order_release);
+      }
+    }
+  };
+  thread_local Lease lease;
+  if (lease.ring == nullptr) {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
-    rings_.push_back(std::make_unique<Ring>(
-        capacity_, static_cast<std::uint32_t>(rings_.size())));
-    ring = rings_.back().get();
-    owner = this;
+    std::unique_ptr<Ring> ring;
+    if (!free_rings_.empty() && free_rings_.back()->capacity == capacity_) {
+      ring = std::move(free_rings_.back());
+      free_rings_.pop_back();
+    } else {
+      ring = std::make_unique<Ring>(capacity_, next_tid_++);
+    }
+    lease.ring = ring.get();
+    // Keep the registry in tid order: collect() promises (tid, emit
+    // order), and a recycled ring carries its original tid.
+    const auto at = std::upper_bound(
+        rings_.begin(), rings_.end(), ring->tid,
+        [](std::uint32_t tid, const std::unique_ptr<Ring>& r) {
+          return tid < r->tid;
+        });
+    rings_.insert(at, std::move(ring));
   }
-  return *ring;
+  return *lease.ring;
 }
 
 void Tracer::push(TraceEvent event) noexcept {
   Ring& ring = local_ring();
   const std::uint32_t idx = ring.count.load(std::memory_order_relaxed);
-  if (idx >= ring.slots.size()) {
+  if (idx >= ring.capacity) {
     ring.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   event.tid = ring.tid;
-  ring.slots[idx] = event;
+  std::construct_at(ring.slots + idx, event);
   ring.count.store(idx + 1, std::memory_order_release);
 }
 

@@ -23,6 +23,15 @@
 // set_ring_capacity() are quiesce-time operations (call them between
 // runs, not while instrumented threads are emitting).
 //
+// Ring memory: slot storage is allocated uninitialized and each slot is
+// constructed when written (only the published prefix is ever read), so
+// a fresh ring costs no up-front page touching. A thread's ring is
+// marked released when the thread exits; it stays registered, so a
+// snapshot after a join still sees its events, and the next clear()
+// moves it to a free list (or frees it when its capacity is no longer
+// the installed one). A new thread's first emit takes a free ring
+// before allocating, so repeated traced runs reuse their rings.
+//
 // Names and categories must be string literals (or otherwise immortal):
 // records store the pointers, never copies — that is what keeps the hot
 // path free of allocation. Runtime-built names (layer names from a
@@ -31,6 +40,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -99,12 +109,15 @@ class Tracer {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Capacity for rings created after the call (existing rings keep
-  /// theirs). Quiesce-time only.
+  /// Capacity for rings threads take after the call (existing rings
+  /// keep theirs; free rings of another capacity are not reused).
+  /// Quiesce-time only.
   void set_ring_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t ring_capacity() const noexcept;
 
-  /// Empties every ring and zeroes drop counts. Quiesce-time only.
+  /// Empties every ring and zeroes drop counts; rings of exited threads
+  /// move to the free list (installed capacity) or are freed.
+  /// Quiesce-time only.
   void clear();
 
   /// Snapshot of every thread's events, stably ordered by (tid, emit
@@ -115,7 +128,8 @@ class Tracer {
   /// Events discarded because a ring was full, across all rings.
   [[nodiscard]] std::uint64_t dropped() const noexcept;
 
-  /// Rings ever registered (== distinct emitting threads since start).
+  /// Rings the tracer holds: registered (live threads, plus exited ones
+  /// until the next clear()) and free for reuse.
   [[nodiscard]] std::size_t ring_count() const;
 
   // ---- emitters (no-ops when disabled) ------------------------------
@@ -132,12 +146,18 @@ class Tracer {
 
  private:
   struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::vector<TraceEvent> slots;
+    Ring(std::size_t capacity, std::uint32_t tid);
+    ~Ring();
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+    /// `capacity` uninitialized slots; [0, count) are constructed.
+    TraceEvent* slots = nullptr;
+    std::size_t capacity = 0;
     /// Valid slots; the owning thread release-stores after each write.
     std::atomic<std::uint32_t> count{0};
     std::atomic<std::uint64_t> dropped{0};
+    /// Set when the owning thread exits (clear() may then recycle it).
+    std::atomic<bool> released{false};
     std::uint32_t tid = 0;
   };
 
@@ -149,6 +169,8 @@ class Tracer {
 
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<std::unique_ptr<Ring>> free_rings_;
+  std::uint32_t next_tid_ = 0;
   std::size_t capacity_ = 1u << 16;
 
   friend class ScopedSpan;

@@ -6,7 +6,7 @@
 // batch keeps filling until either max_batch frames are collated or
 // max_wait_us has elapsed since the first frame landed — the classic
 // serving trade of a bounded latency tax for batched-kernel throughput.
-// Frames from different streams coalesce freely: run_batched gives every
+// Frames from different streams coalesce freely: run_events gives every
 // batch lane its own LIF state and per-sample arithmetic, so cross-stream
 // batches are bitwise identical to per-stream serial execution.
 

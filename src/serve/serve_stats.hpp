@@ -272,7 +272,7 @@ struct WorkerServeStats {
   std::size_t batches = 0;         ///< batches completed
   std::size_t batch_attempts = 0;  ///< batches started (incl. failed ones)
   std::size_t samples = 0;
-  double busy_ms = 0.0;          ///< wall time inside run_batched
+  double busy_ms = 0.0;          ///< wall time inside run_events
   std::size_t calibrations = 0;  ///< planner warmup calibrations (0 or 1)
   std::size_t recalibrations = 0;  ///< density-drift plan refreshes
   std::size_t failures = 0;        ///< batches aborted by an exception

@@ -4,7 +4,7 @@
 // independent event streams (cameras) flow through per-stream E2SF/DSFA
 // ingress stages into a bounded FrameQueue, and a pool of inference
 // workers coalesces ready frames ACROSS streams into batched,
-// planner-routed FunctionalNetwork::run_batched calls:
+// planner-routed FunctionalNetwork::run_events calls (COO event input):
 //
 //   stream 0 --> StreamIngress ---.
 //   stream 1 --> StreamIngress ---+--> FrameQueue --> ServeWorkerPool
@@ -13,7 +13,8 @@
 //
 // Determinism contract: with the drop policy disabled (kBlock), every
 // (stream, seq) output is bitwise identical to per-stream serial batch-1
-// execution of the same frames (run_serial) — cross-stream batches give
+// execution of the same frames (run_serial, the dense reference:
+// frames_to_event_steps + run_batched) — cross-stream batches give
 // each lane private LIF state and per-sample arithmetic, and the planner
 // routes are bitwise-neutral. Batch composition, worker count and thread
 // interleaving affect only latency, never values. Under fault injection
@@ -168,6 +169,8 @@ class ServingRuntime {
   };
   /// `use_planner` mirrors WorkerConfig::use_planner (lazy warmup
   /// calibration on the first frame, drift re-calibration per frame).
+  /// The dense reference the workers' run_events path must match: each
+  /// frame runs as frames_to_event_steps + run_batched.
   [[nodiscard]] SerialResult run_serial(
       std::span<const std::vector<sparse::SparseFrame>> frames_per_stream,
       bool use_planner) const;

@@ -16,23 +16,8 @@
 namespace evedge::serve {
 
 using sparse::DenseTensor;
+using sparse::SparseFrame;
 using sparse::TensorShape;
-
-namespace {
-
-/// Batch-1 probe copies of sample 0 (the planner calibrates on batch-1
-/// inputs; DSFA merges within a density band, so one sample's densities
-/// represent the batch — the BatchExecutor warmup convention).
-[[nodiscard]] std::vector<DenseTensor> probe_of_sample0(
-    const std::vector<DenseTensor>& steps) {
-  std::vector<DenseTensor> probe(steps.size());
-  for (std::size_t t = 0; t < steps.size(); ++t) {
-    sparse::copy_sample(steps[t], 0, probe[t]);
-  }
-  return probe;
-}
-
-}  // namespace
 
 ServeWorker::ServeWorker(int worker_id,
                          const nn::FunctionalNetwork& prototype,
@@ -60,8 +45,19 @@ ServeWorker::ServeWorker(int worker_id,
   }
 }
 
-void ServeWorker::calibrate_from(const std::vector<DenseTensor>& steps) {
-  const std::vector<DenseTensor> probe = probe_of_sample0(steps);
+std::vector<DenseTensor> ServeWorker::probe_steps(
+    const SparseFrame& frame) const {
+  // The planner and the int8 calibration run dense batch-1 inputs; DSFA
+  // merges within a density band, so one frame's densities represent
+  // the batch (the BatchExecutor warmup convention).
+  std::vector<DenseTensor> steps;
+  core::frames_to_event_steps({frame}, event_shape_, net_.spec().timesteps,
+                              steps);
+  return steps;
+}
+
+void ServeWorker::calibrate_from(const SparseFrame& frame) {
+  const std::vector<DenseTensor> probe = probe_steps(frame);
   // Calibration runs dense warmup probes through a hook; uninstall the
   // live plan first so the swap is atomic from the engine's view.
   net_.set_execution_plan(nullptr);
@@ -73,14 +69,15 @@ void ServeWorker::calibrate_from(const std::vector<DenseTensor>& steps) {
   stats_.plan_probe_density = plan_.probe_input_density;
 }
 
-void ServeWorker::apply_precision_rung(bool want_int8) {
+void ServeWorker::apply_precision_rung(bool want_int8,
+                                       const SparseFrame& frame) {
   if (want_int8 && !quant_installed_) {
     if (!quant_ready_) {
-      // Lazy rung-3 calibration: the current batch's sample 0 is the
+      // Lazy rung-3 calibration: the current batch's frame 0 is the
       // calibration set — the same "the live traffic is the probe"
       // convention the planner warmup uses.
       quant::ValidationSample sample;
-      sample.event_steps = probe_of_sample0(steps_);
+      sample.event_steps = probe_steps(frame);
       if (needs_image_) sample.image = image_;
       const nn::ExecutionPlan* prev = net_.set_execution_plan(nullptr);
       const quant::CalibrationTable table = quant::calibrate_activations(
@@ -109,41 +106,46 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   }
   // Lineage anchor: per-frame inference spans start at the collator's
   // batch-ready stamp, so they cover the handoff into this call as well
-  // as the batch prep below (tensor adaptation, planner recalibration,
+  // as the batch prep below (input adaptation, planner recalibration,
   // precision rung) — all of it is time the frame waits on, and the
   // frame's hops tile its latency with no gap. Direct callers have no
   // collator stamp; their spans start at entry.
   std::uint64_t start_ns = std::exchange(batch_ready_ns_, 0);
   if (start_ns == 0 && obs::Tracer::enabled()) start_ns = obs::now_ns();
   emit_progress_ = 0;
-  const nn::NetworkSpec& spec = net_.spec();
-  frames_.clear();
-  frames_.reserve(batch.size());
-  for (const ReadyFrame& ready : batch) frames_.push_back(ready.frame);
-  core::frames_to_event_steps(frames_, event_shape_, spec.timesteps, steps_);
+  samples_.resize(batch.size());
+  std::size_t nnz = 0;
+  for (std::size_t n = 0; n < batch.size(); ++n) {
+    samples_[n] = core::frame_to_event_sample(batch[n].frame, event_shape_);
+    for (const sparse::CooChannel& ch : samples_[n]) nnz += ch.nnz();
+  }
+  const SparseFrame& frame0 = batch.front().frame;
 
   if (config_.use_planner) {
     if (!plan_ready_) {
-      calibrate_from(steps_);
+      calibrate_from(frame0);
       ++stats_.calibrations;
     } else if (config_.recalibrate_on_drift) {
       // The live density signal: nonzero fraction of the adapted event
-      // tensor, the same post-E2SF quantity calibrate() recorded as
-      // probe_input_density (DSFA's recent_density() EMA rides along in
-      // ReadyFrame::ingress_density for sensor-scale telemetry).
-      const double live_density = steps_.front().density();
+      // input, sum(nnz) / (N*C*H*W) — the post-E2SF quantity calibrate()
+      // recorded as probe_input_density (DSFA's recent_density() EMA
+      // rides along in ReadyFrame::ingress_density for sensor-scale
+      // telemetry).
+      const double live_density =
+          static_cast<double>(nnz) /
+          static_cast<double>(batch.size() * event_shape_.element_count());
       if (!plan_.density_in_band(live_density,
                                  config_.recalibration_band)) {
-        calibrate_from(steps_);
+        calibrate_from(frame0);
         ++stats_.recalibrations;
       }
     }
   }
-  apply_precision_rung(want_int8_);
+  apply_precision_rung(want_int8_, frame0);
 
   const auto t0 = std::chrono::steady_clock::now();
   const DenseTensor out =
-      net_.run_batched(steps_, needs_image_ ? &image_ : nullptr);
+      net_.run_events(samples_, needs_image_ ? &image_ : nullptr);
   const auto t1 = std::chrono::steady_clock::now();
   obs::Tracer::span("worker", "inference", obs::to_trace_ns(t0),
                     obs::to_trace_ns(t1), "worker", stats_.worker_id,

@@ -4,15 +4,20 @@
 // worker owns a full FunctionalNetwork clone (identical weights, private
 // Workspace — the one-Workspace-per-worker contract that makes workers
 // mutually invisible), its own BatchCollator and, when planning is on,
-// its own density-adaptive ExecutionPlan:
+// its own density-adaptive ExecutionPlan. A collated batch goes to the
+// engine as COO: each ReadyFrame is adapted straight to the event input
+// (core::frame_to_event_sample) and the batch runs through
+// FunctionalNetwork::run_events — no dense event steps on this path.
 //
 //  - lazy warmup calibration: the worker's first collated batch doubles
-//    as the planner probe (sample 0), mirroring BatchExecutor;
+//    as the planner probe (a dense rendering of frame 0, made only when
+//    calibration runs), mirroring BatchExecutor;
 //  - drift re-calibration: every batch's live input density (nonzero
-//    fraction of the adapted event tensor, the post-E2SF quantity the
+//    fraction of the adapted event input, the post-E2SF quantity the
 //    planner calibrated on) is checked against the plan's calibration
 //    band; when the scene density drifts outside it, the worker re-runs
-//    calibration on the current batch and swaps routes in place.
+//    calibration on the current batch's frame 0 and swaps routes in
+//    place.
 //
 // Supervision: a batch that throws does not kill the worker thread.
 // The worker restarts itself on a fresh prototype clone, returns the
@@ -27,9 +32,10 @@
 //
 // Per-stream state isolation: the engine runs each batch lane through
 // the batch-1 path from reset LIF state, so coalescing frames from
-// different streams into one run_batched call is bitwise identical to
-// per-stream serial execution (run_batched's per-sample contract;
-// verified zoo-wide in test_serve).
+// different streams into one run_events call is bitwise identical to
+// per-stream serial execution — ServingRuntime::run_serial, the dense
+// reference over frames_to_event_steps + run_batched (run_events'
+// per-lane contract; verified zoo-wide in test_serve).
 
 #include <cstdint>
 #include <functional>
@@ -77,7 +83,7 @@ struct WorkerConfig {
 
 /// Called once per completed frame, potentially from several worker
 /// threads at once — implementations must be thread-safe. The frame's
-/// result is batch lane `lane` of `batch_output` (the run_batched
+/// result is batch lane `lane` of `batch_output` (the run_events
 /// tensor, valid only for the duration of the call — slice it out via
 /// sparse::copy_sample if it must outlive the sink); `latency_us` spans
 /// queue admission to inference completion.
@@ -109,7 +115,7 @@ class ServeWorker {
   ServeWorker(int worker_id, const nn::FunctionalNetwork& prototype,
               WorkerConfig config);
 
-  /// Runs one collated batch through run_batched and emits every frame's
+  /// Runs one collated batch through run_events and emits every frame's
   /// result to `sink`. Handles planner warmup/drift calibration. Throws
   /// propagate to the caller (the supervised serve loop catches them).
   void process_batch(const std::vector<ReadyFrame>& batch,
@@ -144,8 +150,13 @@ class ServeWorker {
   }
 
  private:
-  void calibrate_from(const std::vector<sparse::DenseTensor>& steps);
-  void apply_precision_rung(bool want_int8);
+  /// Dense batch-1 steps of `frame`: the calibration probe input.
+  [[nodiscard]] std::vector<sparse::DenseTensor> probe_steps(
+      const sparse::SparseFrame& frame) const;
+  void calibrate_from(const sparse::SparseFrame& frame);
+  /// Installs or removes the int8 rung; a first install calibrates the
+  /// quant plan on `frame`.
+  void apply_precision_rung(bool want_int8, const sparse::SparseFrame& frame);
   /// Shed frames older than the deadline out of `batch` via the failure
   /// hook; returns the number shed.
   std::size_t shed_stale(std::vector<ReadyFrame>& batch,
@@ -162,8 +173,7 @@ class ServeWorker {
   sparse::TensorShape event_shape_;  ///< per-timestep event input (n = 1)
   bool needs_image_ = false;
   sparse::DenseTensor image_;
-  std::vector<sparse::DenseTensor> steps_;  ///< reused staging tensors
-  std::vector<sparse::SparseFrame> frames_;  ///< reused adaptation view
+  std::vector<sparse::SparseSample> samples_;  ///< adapted event inputs
   bool plan_ready_ = false;
   nn::ExecutionPlan plan_;
   // Int8 rung state: the plan is calibrated lazily from the first batch

@@ -1,10 +1,13 @@
 // Tests for the core Ev-Edge components: the Event2Sparse Frame converter
 // (Eq. 1), the Dynamic Sparse Frame Aggregator (Fig. 6 semantics), the
-// inference cost model, the pipeline simulator and end-to-end accuracy.
+// inference cost model, the pipeline simulator, end-to-end accuracy and
+// the event-input adapter (pinned to an independent dense oracle).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -680,6 +683,206 @@ TEST(E2eAccuracy, CBatchReslotIsIdentity) {
 }
 
 // --------------------------------------------------------- batch executor
+
+// ---------------------------------------------------- event-input adapter
+
+namespace {
+
+/// The dense scatter the adapter replaced, kept verbatim as its oracle:
+/// one COO channel downsampled by `factor`, center-aligned, cropped, and
+/// accumulated with += into a zeroed plane.
+void reference_scatter(const es::CooChannel& ch, int factor, int off_y,
+                       int off_x, int dst_h, int dst_w, float* plane) {
+  for (const es::CooEntry& e : ch.entries()) {
+    const int ty = e.row / factor + off_y;
+    const int tx = e.col / factor + off_x;
+    if (ty < 0 || ty >= dst_h || tx < 0 || tx >= dst_w) continue;
+    plane[static_cast<std::size_t>(ty) * static_cast<std::size_t>(dst_w) +
+          static_cast<std::size_t>(tx)] += e.value;
+  }
+}
+
+/// The oracle's [1, C, H, W] rendering of one frame: every bin slot gets
+/// the positive channel in 2b and the negative one in 2b + 1.
+es::DenseTensor reference_adapt(const es::SparseFrame& frame,
+                                const es::TensorShape& shape) {
+  const int h = shape.h;
+  const int w = shape.w;
+  const int factor =
+      std::max(1, std::max((frame.height() + h - 1) / h,
+                           (frame.width() + w - 1) / w));
+  const int off_y = (h - (frame.height() + factor - 1) / factor) / 2;
+  const int off_x = (w - (frame.width() + factor - 1) / factor) / 2;
+  es::DenseTensor out(es::TensorShape{1, shape.c, h, w});
+  std::fill(out.data().begin(), out.data().end(), 0.0f);
+  for (int b = 0; b < std::max(1, shape.c / 2); ++b) {
+    reference_scatter(frame.positive(), factor, off_y, off_x, h, w,
+                      out.raw() + out.offset(0, 2 * b, 0, 0));
+    if (2 * b + 1 < shape.c) {
+      reference_scatter(frame.negative(), factor, off_y, off_x, h, w,
+                        out.raw() + out.offset(0, 2 * b + 1, 0, 0));
+    }
+  }
+  return out;
+}
+
+es::CooChannel channel_of(int h, int w, std::vector<es::CooEntry> entries) {
+  return es::CooChannel::from_entries(h, w, std::move(entries));
+}
+
+[[nodiscard]] bool same_bytes(const float* a, const float* b,
+                              std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Checks the COO adapter (densified) and frames_to_event_steps against
+/// the oracle, byte for byte, for one frame at one input shape.
+void expect_adapter_matches_oracle(const es::SparseFrame& frame,
+                                   const es::TensorShape& shape,
+                                   const char* what) {
+  const es::DenseTensor want = reference_adapt(frame, shape);
+
+  const es::SparseSample sample = ec::frame_to_event_sample(frame, shape);
+  ASSERT_EQ(static_cast<int>(sample.size()), shape.c) << what;
+  es::DenseTensor got(es::TensorShape{1, shape.c, shape.h, shape.w});
+  for (const es::CooChannel& ch : sample) {
+    ASSERT_EQ(ch.height(), shape.h) << what;
+    ASSERT_EQ(ch.width(), shape.w) << what;
+    EXPECT_NO_THROW(ch.validate()) << what;  // sorted, unique, no zeros
+  }
+  es::channels_into_slice(sample, got, 0);
+  EXPECT_TRUE(same_bytes(got.raw(), want.raw(), want.size())) << what;
+
+  constexpr int kTimesteps = 3;
+  std::vector<es::DenseTensor> steps;
+  ec::frames_to_event_steps({frame, frame}, shape, kTimesteps, steps);
+  ASSERT_EQ(steps.size(), static_cast<std::size_t>(kTimesteps)) << what;
+  for (const es::DenseTensor& step : steps) {
+    ASSERT_EQ(step.shape().n, 2) << what;
+    for (int n = 0; n < 2; ++n) {
+      EXPECT_TRUE(same_bytes(step.raw() + step.offset(n, 0, 0, 0),
+                             want.raw(), want.size()))
+          << what << " lane " << n;
+    }
+  }
+}
+
+}  // namespace
+
+// Sensor == input extent: factor 1, no offset, entries pass through.
+TEST(EventAdapter, SensorAtInputExtentPassesThrough) {
+  const es::TensorShape shape{1, 2, 12, 16};
+  es::SparseFrame frame(12, 16);
+  frame.positive() = channel_of(12, 16, {{0, 0, 1.0f}, {3, 7, 2.5f},
+                                         {11, 15, 0.1f}});
+  frame.negative() = channel_of(12, 16, {{0, 1, 3.0f}, {5, 5, 0.3f}});
+  expect_adapter_matches_oracle(frame, shape, "factor 1");
+  const es::SparseSample sample = ec::frame_to_event_sample(frame, shape);
+  EXPECT_EQ(sample[0].entries(), frame.positive().entries());
+  EXPECT_EQ(sample[1].entries(), frame.negative().entries());
+}
+
+// Factors 2 and 3: non-integer values colliding on one target site
+// accumulate in source order (float addition is not associative, so
+// only that order reproduces the oracle's bytes), across source rows.
+TEST(EventAdapter, CollisionsAccumulateInSourceOrder) {
+  const es::TensorShape shape{1, 2, 12, 16};
+  for (const int factor : {2, 3}) {
+    const int h = 12 * factor;
+    const int w = 16 * factor;
+    es::SparseFrame frame(h, w);
+    std::vector<es::CooEntry> pos;
+    std::vector<es::CooEntry> neg;
+    // Target (2, 3): 0.1 + 0.2 + 0.3 (+ 0.7) from three source rows.
+    const int y0 = 2 * factor;
+    const int x0 = 3 * factor;
+    pos.push_back({y0, x0, 0.1f});
+    pos.push_back({y0, x0 + 1, 0.7f});
+    pos.push_back({y0 + 1, x0, 0.2f});
+    pos.push_back({y0 + factor - 1, x0 + factor - 1, 0.3f});
+    // A neighbouring target in between, so the runs interleave by row.
+    pos.push_back({y0, x0 + factor, 0.9f});
+    pos.push_back({y0 + 1, x0 + factor + 1, 0.05f});
+    neg.push_back({0, 0, 0.3f});
+    neg.push_back({factor - 1, 1, 0.2f});
+    neg.push_back({factor - 1, factor - 1, 0.1f});
+    frame.positive() = channel_of(h, w, pos);
+    frame.negative() = channel_of(h, w, neg);
+    expect_adapter_matches_oracle(
+        frame, shape, factor == 2 ? "factor 2" : "factor 3");
+    const es::SparseSample sample = ec::frame_to_event_sample(frame, shape);
+    EXPECT_EQ(sample[0].nnz(), 2u);  // two target sites
+    EXPECT_EQ(sample[1].nnz(), 1u);
+  }
+}
+
+// A colliding pair that cancels to 0 leaves no stored entry (the oracle
+// reads +0 there); a partial cancellation followed by more mass keeps
+// the remainder.
+TEST(EventAdapter, CancellingCollisionsDropOut) {
+  const es::TensorShape shape{1, 2, 12, 16};
+  es::SparseFrame frame(24, 32);
+  frame.positive() = channel_of(24, 32, {{4, 4, 1.5f}, {5, 5, -1.5f},
+                                         {8, 8, 1.0f}, {8, 9, -1.0f},
+                                         {9, 8, 0.5f}});
+  frame.negative() = channel_of(24, 32, {{0, 0, 0.25f}, {1, 1, -0.25f}});
+  expect_adapter_matches_oracle(frame, shape, "cancel");
+  const es::SparseSample sample = ec::frame_to_event_sample(frame, shape);
+  ASSERT_EQ(sample[0].nnz(), 1u);
+  EXPECT_EQ(sample[0].entries().front(), (es::CooEntry{4, 4, 0.5f}));
+  EXPECT_EQ(sample[1].nnz(), 0u);
+}
+
+// A sensor smaller than the input is center-aligned without scaling;
+// odd extents and a non-square factor-4 sensor crop and offset like the
+// oracle.
+TEST(EventAdapter, SmallerAndOddSensorsCenterAlign) {
+  const es::TensorShape shape{1, 2, 12, 16};
+  es::SparseFrame small(6, 9);
+  small.positive() = channel_of(6, 9, {{0, 0, 1.0f}, {5, 8, 2.0f}});
+  small.negative() = channel_of(6, 9, {{2, 4, 0.3f}});
+  expect_adapter_matches_oracle(small, shape, "smaller sensor");
+  const es::SparseSample sample = ec::frame_to_event_sample(small, shape);
+  EXPECT_EQ(sample[0].entries().front(), (es::CooEntry{3, 3, 1.0f}));
+
+  std::mt19937_64 rng(77);
+  std::uniform_int_distribution<int> row(0, 36);
+  std::uniform_int_distribution<int> col(0, 52);
+  std::uniform_real_distribution<float> value(-1.0f, 2.0f);
+  es::SparseFrame odd(37, 53);
+  for (int i = 0; i < 600; ++i) {
+    es::CooChannel& ch = i % 3 == 0 ? odd.negative() : odd.positive();
+    ch.accumulate(row(rng), col(rng), value(rng));
+  }
+  expect_adapter_matches_oracle(odd, shape, "37x53 random");
+}
+
+// Stacked-bin ANN input (C = 2 x bins): every bin slot carries the
+// frame; an odd channel count leaves the trailing channel empty.
+TEST(EventAdapter, StackedBinsFillEverySlot) {
+  es::SparseFrame frame(24, 32);
+  frame.positive() = channel_of(24, 32, {{1, 1, 0.1f}, {0, 0, 0.2f},
+                                         {23, 31, 4.0f}});
+  frame.negative() = channel_of(24, 32, {{10, 10, 1.0f}});
+  expect_adapter_matches_oracle(frame, es::TensorShape{1, 10, 12, 16},
+                                "10 channels");
+  expect_adapter_matches_oracle(frame, es::TensorShape{1, 5, 12, 16},
+                                "5 channels");
+  const es::SparseSample sample =
+      ec::frame_to_event_sample(frame, es::TensorShape{1, 5, 12, 16});
+  EXPECT_EQ(sample[4].nnz(), 0u);
+  EXPECT_EQ(sample[3].entries(), sample[1].entries());
+}
+
+TEST(EventAdapter, EmptyFrameGivesEmptyChannels) {
+  const es::SparseFrame empty(24, 32);
+  expect_adapter_matches_oracle(empty, es::TensorShape{1, 2, 12, 16},
+                                "empty");
+  for (const es::CooChannel& ch :
+       ec::frame_to_event_sample(empty, es::TensorShape{1, 2, 12, 16})) {
+    EXPECT_EQ(ch.nnz(), 0u);
+  }
+}
 
 TEST(BatchExecutor, RunsDispatchedBatchesOnTheBatchedEngine) {
   CostFixture f;

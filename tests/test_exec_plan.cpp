@@ -3,14 +3,18 @@
 // dense execution, CSR chain boundary accounting, submanifold stored-site
 // semantics, density telemetry agreement (hook, firing rate, thread
 // counts), plan validation atomicity, int8 composition, the cost-model
-// cold-start bridge, the per-node observer contract and the
-// multi-sample run_batched contract.
+// cold-start bridge, the per-node observer contract, the multi-sample
+// run_batched contract and the COO event input (run_events) against the
+// dense steps it replaces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <random>
 #include <set>
 #include <utility>
 #include <vector>
@@ -933,4 +937,281 @@ TEST(Engine, MultiSampleCallsSumPerFrameRuns) {
     net.set_exec_observer(nullptr);
     net.set_execution_plan(nullptr);
   }
+}
+
+// ---------------------------------------- COO event input (run_events)
+
+namespace {
+
+/// A merged frame at twice the event input's extent (so the adapter
+/// downsamples by 2 and collides entries) holding `events` random
+/// non-integer entries, alternating polarity.
+[[nodiscard]] es::SparseFrame sensor_frame(const es::TensorShape& in,
+                                           int events, std::uint64_t seed) {
+  const int h = 2 * in.h;
+  const int w = 2 * in.w;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> row(0, h - 1);
+  std::uniform_int_distribution<int> col(0, w - 1);
+  std::uniform_real_distribution<float> value(0.25f, 2.0f);
+  es::SparseFrame frame(h, w);
+  for (int i = 0; i < events; ++i) {
+    es::CooChannel& ch = i % 2 == 0 ? frame.positive() : frame.negative();
+    ch.accumulate(row(rng), col(rng), value(rng));
+  }
+  return frame;
+}
+
+/// One empty frame, one with a single event, and one filling about 2%
+/// of each event-input channel.
+[[nodiscard]] std::vector<es::SparseFrame> parity_frames(
+    const es::TensorShape& in) {
+  return {es::SparseFrame(2 * in.h, 2 * in.w), sensor_frame(in, 1, 5),
+          sensor_frame(in, 2 * in.h * in.w / 50, 6)};
+}
+
+/// Counts on_node calls, in total and per node.
+class NodeCounter final : public en::ExecObserver {
+ public:
+  explicit NodeCounter(std::size_t nodes) : per_node(nodes, 0) {}
+  void on_node(int node_id, en::Route, int, std::uint64_t, std::uint64_t,
+               int, int) noexcept override {
+    ++calls;
+    ++per_node[static_cast<std::size_t>(node_id)];
+  }
+  std::size_t calls = 0;
+  std::vector<std::size_t> per_node;
+};
+
+[[nodiscard]] bool same_bytes(const es::DenseTensor& a,
+                              const es::DenseTensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+/// The event inputs of one parity batch: dense steps for run_batched,
+/// COO samples for run_events, and the images to run them with — a
+/// shared [1, ...] one and a per-lane [N, ...] one for two-input nets,
+/// a single nullptr otherwise.
+struct EventBatch {
+  std::vector<es::SparseFrame> frames;
+  std::vector<es::DenseTensor> steps;
+  std::vector<es::SparseSample> samples;
+  std::vector<es::DenseTensor> images;
+  bool two_input = false;
+
+  EventBatch(const en::NetworkSpec& spec, const es::TensorShape& in)
+      : frames(parity_frames(in)),
+        two_input(spec.graph.input_ids().size() > 1) {
+    ec::frames_to_event_steps(frames, in, spec.timesteps, steps);
+    for (const es::SparseFrame& f : frames) {
+      samples.push_back(ec::frame_to_event_sample(f, in));
+    }
+    if (!two_input) {
+      images.emplace_back();
+      return;
+    }
+    images.push_back(ec::make_reference_image(spec));
+    const es::TensorShape& is = images.front().shape();
+    es::DenseTensor per_lane(es::TensorShape{
+        static_cast<int>(frames.size()), is.c, is.h, is.w});
+    per_lane.fill_random(33, 0.5f);
+    for (float& v : per_lane.data()) v = std::abs(v);
+    images.push_back(std::move(per_lane));
+  }
+  [[nodiscard]] const es::DenseTensor* image(std::size_t i) const {
+    return two_input ? &images[i] : nullptr;
+  }
+};
+
+}  // namespace
+
+class EventInputParity : public ::testing::TestWithParam<en::NetworkId> {};
+
+// run_events over COO samples equals run_batched over the dense steps of
+// the same frames, byte for byte, whatever the engine is configured
+// with: no plan, a calibrated plan, a real int8 plan (dense and with
+// sparse routes), a simulate-mode plan, or a mutating activation hook
+// (which must see the same activations the same number of times).
+TEST_P(EventInputParity, RunEventsMatchesDenseStepsBytewise) {
+  const auto spec = en::build_network(GetParam(), en::ZooConfig::test_scale());
+  en::FunctionalNetwork net(spec, 7);
+  const es::TensorShape in =
+      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+  const EventBatch batch(spec, in);
+
+  std::vector<es::DenseTensor> probe;
+  ec::frames_to_event_steps({batch.frames.back()}, in, spec.timesteps, probe);
+  const auto plan =
+      en::ExecutionPlanner::calibrate(net, probe, batch.image(0));
+  const auto table =
+      eq::calibrate_activations(net, eq::make_validation_set(spec, 2, 9, 0.02));
+  const auto int8 = eq::uniform_assignment(spec, eq::Precision::kInt8);
+  eq::QuantPlanOptions every_layer;
+  every_layer.quantize_input_layer = true;
+  const auto real = eq::build_quant_plan(
+      net, int8, table, /*simulate=*/false, eq::WeightGranularity::kPerChannel,
+      every_layer);
+  const auto simulated = eq::build_quant_plan(
+      net, int8, table, /*simulate=*/true, eq::WeightGranularity::kPerChannel,
+      every_layer);
+
+  struct Mode {
+    const char* name;
+    const en::ExecutionPlan* plan;
+    const eq::QuantPlan* quant;
+    bool hook;
+  };
+  const Mode modes[] = {
+      {"no plan", nullptr, nullptr, false},
+      {"calibrated plan", &plan, nullptr, false},
+      {"int8", nullptr, &real, false},
+      {"int8 + routes", &plan, &real, false},
+      {"simulate", &plan, &simulated, false},
+      {"hook", &plan, nullptr, true},
+  };
+  for (const Mode& mode : modes) {
+    net.set_execution_plan(mode.plan);
+    net.set_quant_plan(mode.quant);
+    std::size_t hook_calls = 0;
+    if (mode.hook) {
+      net.set_activation_hook([&hook_calls](int, es::DenseTensor& a) {
+        ++hook_calls;
+        for (float& v : a.data()) v = std::min(v, 1.5f);
+      });
+    }
+    for (std::size_t i = 0; i < batch.images.size(); ++i) {
+      hook_calls = 0;
+      const auto want = net.run_batched(batch.steps, batch.image(i));
+      const std::size_t want_hook_calls = hook_calls;
+      hook_calls = 0;
+      const auto got = net.run_events(batch.samples, batch.image(i));
+      EXPECT_TRUE(same_bytes(got, want))
+          << spec.name << " / " << mode.name << " / image " << i;
+      EXPECT_EQ(hook_calls, want_hook_calls) << spec.name << " / "
+                                             << mode.name;
+    }
+    net.set_activation_hook(nullptr);
+  }
+  net.set_execution_plan(nullptr);
+  net.set_quant_plan(nullptr);
+}
+
+// The COO path's telemetry: the event input executes once per sample
+// (the invariant cache skips it after t == 0) and never sparsifies; a
+// spiking layer fed by it still steps LIF every timestep but runs its
+// conv once per sample; the observer sees exactly node_executions calls.
+TEST_P(EventInputParity, StatsCountTheInputAndKeptCurrentOncePerSample) {
+  const auto spec = en::build_network(GetParam(), en::ZooConfig::test_scale());
+  en::FunctionalNetwork net(spec, 7);
+  const int event_input = spec.graph.input_ids().front();
+  const es::TensorShape in = spec.graph.node(event_input).spec.out_shape;
+  const EventBatch batch(spec, in);
+  const std::size_t lanes = batch.frames.size();
+  const auto steps = static_cast<std::size_t>(spec.timesteps);
+
+  std::vector<es::DenseTensor> probe;
+  ec::frames_to_event_steps({batch.frames.back()}, in, spec.timesteps, probe);
+  const auto plan =
+      en::ExecutionPlanner::calibrate(net, probe, batch.image(0));
+  const en::ExecutionPlan* const plans[] = {nullptr, &plan};
+  for (const en::ExecutionPlan* installed : plans) {
+    net.set_execution_plan(installed);
+    (void)net.run_batched(batch.steps, batch.image(0));
+    const en::ExecStats dense = net.last_exec_stats();
+    NodeCounter counter(spec.graph.size());
+    net.set_exec_observer(&counter);
+    (void)net.run_events(batch.samples, batch.image(0));
+    net.set_exec_observer(nullptr);
+    const en::ExecStats coo = net.last_exec_stats();
+
+    EXPECT_EQ(counter.calls, coo.node_executions) << spec.name;
+    EXPECT_EQ(counter.per_node[static_cast<std::size_t>(event_input)], lanes)
+        << spec.name;
+    bool sparse_consumer = false;
+    std::size_t kept_sparse = 0;
+    for (const en::LayerNode& node : spec.graph.nodes()) {
+      if (node.parents.size() != 1 || node.parents.front() != event_input) {
+        continue;
+      }
+      const bool routed =
+          installed != nullptr &&
+          installed->route[static_cast<std::size_t>(node.id)] !=
+              en::Route::kDense;
+      sparse_consumer = sparse_consumer || routed;
+      if (en::domain_of(node.spec.kind) == en::Domain::kSnn) {
+        EXPECT_EQ(counter.per_node[static_cast<std::size_t>(node.id)],
+                  lanes * steps)
+            << spec.name << " " << node.spec.name;
+        if (routed) ++kept_sparse;
+      }
+    }
+    EXPECT_EQ(coo.node_executions, dense.node_executions - lanes * (steps - 1))
+        << spec.name;
+    EXPECT_EQ(coo.sparsify_boundaries,
+              dense.sparsify_boundaries - (sparse_consumer ? lanes * steps : 0))
+        << spec.name;
+    EXPECT_EQ(coo.sparse_node_runs,
+              dense.sparse_node_runs - lanes * (steps - 1) * kept_sparse)
+        << spec.name;
+    if (installed == nullptr) {
+      // All dense: the carrier densifies once per sample.
+      EXPECT_EQ(coo.densify_boundaries, dense.densify_boundaries + lanes)
+          << spec.name;
+    }
+  }
+  net.set_execution_plan(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, EventInputParity,
+    ::testing::Values(en::NetworkId::kSpikeFlowNet,
+                      en::NetworkId::kFusionFlowNet,
+                      en::NetworkId::kAdaptiveSpikeNet, en::NetworkId::kHalsie,
+                      en::NetworkId::kHidalgoDepth, en::NetworkId::kDotie,
+                      en::NetworkId::kEvFlowNet),
+    [](const ::testing::TestParamInfo<en::NetworkId>& param_info) {
+      auto name = en::to_string(param_info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
+// Samples built by hand are checked before the run: a wrong channel
+// count, a wrong extent, an invalid channel or an empty call throws.
+TEST(RunEvents, RejectsMalformedSamples) {
+  const auto spec =
+      en::build_network(en::NetworkId::kDotie, en::ZooConfig::test_scale());
+  en::FunctionalNetwork net(spec, 7);
+  const es::TensorShape in =
+      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+  const es::SparseSample good =
+      ec::frame_to_event_sample(sensor_frame(in, 40, 3), in);
+  EXPECT_NO_THROW((void)net.run_events(std::vector<es::SparseSample>{good}));
+
+  const auto rejects = [&net](es::SparseSample bad) {
+    const std::vector<es::SparseSample> events = {std::move(bad)};
+    EXPECT_THROW((void)net.run_events(events), std::invalid_argument);
+  };
+  es::SparseSample extra = good;
+  extra.push_back(es::CooChannel(in.h, in.w));
+  rejects(extra);
+  rejects(es::SparseSample{good.front()});
+  es::SparseSample taller = good;
+  taller[1] = es::CooChannel(in.h + 1, in.w);
+  rejects(taller);
+  es::SparseSample unsorted = good;
+  unsorted[0] = es::CooChannel::from_sorted_entries(
+      in.h, in.w, {{5, 5, 1.0f}, {2, 2, 1.0f}});
+  rejects(unsorted);
+  es::SparseSample outside = good;
+  outside[0] = es::CooChannel::from_sorted_entries(in.h, in.w,
+                                                   {{in.h, 0, 1.0f}});
+  rejects(outside);
+  es::SparseSample stored_zero = good;
+  stored_zero[1] =
+      es::CooChannel::from_sorted_entries(in.h, in.w, {{0, 0, 0.0f}});
+  rejects(stored_zero);
+  EXPECT_THROW((void)net.run_events({}), std::invalid_argument);
 }

@@ -140,6 +140,51 @@ TEST(TraceRing, ConcurrentWritersLoseNothingUnaccounted) {
   eo::Tracer::instance().clear();
 }
 
+// Rings of exited threads are recycled at clear(): four rounds of N
+// short-lived emitters hold the ring count at its round-1 value, and
+// every round collects exactly its own events (a recycled ring starts
+// empty, and a snapshot after the joins still sees each thread).
+TEST(TraceRing, ClearRecyclesRingsOfExitedThreads) {
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 50;
+  constexpr int kRounds = 4;
+  reset_tracer(1u << 10);
+  std::size_t rings_after_first = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> emitters;
+    for (int t = 0; t < kThreads; ++t) {
+      emitters.emplace_back([round, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          eo::Tracer::instant("test", "recycle", "round", round, "thread", t);
+        }
+      });
+    }
+    for (std::thread& e : emitters) e.join();
+
+    std::map<std::int64_t, int> per_thread;
+    for (const eo::TraceEvent& e : eo::Tracer::instance().collect()) {
+      if (std::string(e.name) != "recycle") continue;
+      EXPECT_EQ(e.arg0, round);
+      ++per_thread[e.arg1];
+    }
+    ASSERT_EQ(per_thread.size(), static_cast<std::size_t>(kThreads));
+    for (const auto& [thread, count] : per_thread) {
+      EXPECT_EQ(count, kPerThread) << "round " << round << " thread "
+                                   << thread;
+    }
+    EXPECT_EQ(eo::Tracer::instance().dropped(), 0u);
+
+    const std::size_t rings = eo::Tracer::instance().ring_count();
+    if (round == 0) {
+      rings_after_first = rings;
+    } else {
+      EXPECT_LE(rings, rings_after_first) << "round " << round;
+    }
+    eo::Tracer::instance().clear();
+  }
+  eo::Tracer::set_enabled(false);
+}
+
 TEST(TraceRing, DisabledEmitsNothing) {
   eo::Tracer::set_enabled(false);
   eo::Tracer::instance().clear();
