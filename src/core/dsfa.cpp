@@ -1,7 +1,5 @@
 #include "core/dsfa.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace evedge::core {
@@ -23,15 +21,6 @@ DynamicSparseFrameAggregator::DynamicSparseFrameAggregator(DsfaConfig config)
   if (config_.inference_queue_capacity == 0) {
     throw std::invalid_argument("DSFA: inference queue capacity must be > 0");
   }
-  if (config_.density_ema_alpha <= 0.0 || config_.density_ema_alpha > 1.0) {
-    throw std::invalid_argument("DSFA: density EMA alpha must be in (0, 1]");
-  }
-}
-
-double DynamicSparseFrameAggregator::density_drift(
-    double reference, double eps) const noexcept {
-  if (stats_.frames_in == 0) return 0.0;
-  return std::abs(recent_density_ - reference) / std::max(reference, eps);
 }
 
 std::size_t DynamicSparseFrameAggregator::buffered_frames() const noexcept {
@@ -41,11 +30,6 @@ std::size_t DynamicSparseFrameAggregator::buffered_frames() const noexcept {
 }
 
 void DynamicSparseFrameAggregator::push(SparseFrame frame) {
-  recent_density_ = stats_.frames_in == 0
-                        ? frame.density()
-                        : recent_density_ +
-                              config_.density_ema_alpha *
-                                  (frame.density() - recent_density_);
   ++stats_.frames_in;
 
   if (config_.merge_mode == MergeMode::kBatch) {

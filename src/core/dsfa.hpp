@@ -32,9 +32,6 @@ struct DsfaConfig {
   double max_time_delay_us = 40'000.0;   ///< MtTh
   double max_density_change = 0.75;      ///< MdTh (relative change)
   std::size_t inference_queue_capacity = 4;
-  /// Smoothing factor of the recent-density tracker (recent_density()):
-  /// weight of the newest frame's spatial density in the running EMA.
-  double density_ema_alpha = 0.25;
 };
 
 /// One dispatched batch: each element is a combined merge bucket; the
@@ -86,21 +83,6 @@ class DynamicSparseFrameAggregator {
   /// Frames currently staged in the event buffer (all buckets).
   [[nodiscard]] std::size_t buffered_frames() const noexcept;
 
-  /// Exponential moving average of the spatial density of pushed frames
-  /// (density_ema_alpha weights the newest; 0 before the first push).
-  /// This is the live input-density signal the DSFA merge policy already
-  /// tracks per frame, exposed so downstream consumers (the serving
-  /// runtime's planner-drift recalibration, ingress telemetry) can react
-  /// to scene-level density changes without re-scanning frames.
-  [[nodiscard]] double recent_density() const noexcept {
-    return recent_density_;
-  }
-
-  /// Relative drift of recent_density() against `reference`:
-  /// |recent - reference| / max(reference, eps). 0 before any push.
-  [[nodiscard]] double density_drift(double reference,
-                                     double eps = 1e-9) const noexcept;
-
   [[nodiscard]] const DsfaStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const DsfaConfig& config() const noexcept { return config_; }
 
@@ -120,7 +102,6 @@ class DynamicSparseFrameAggregator {
   std::vector<MergeBucket> buckets_;
   std::deque<MergedBatch> inference_queue_;
   DsfaStats stats_;
-  double recent_density_ = 0.0;
 };
 
 }  // namespace evedge::core

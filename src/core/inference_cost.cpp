@@ -57,13 +57,6 @@ ActivationDensityProfile measure_activation_densities(
   return profile;
 }
 
-nn::ExecutionPlan seed_execution_plan(const nn::FunctionalNetwork& net,
-                                      const ActivationDensityProfile& profile,
-                                      const nn::PlannerOptions& options) {
-  return nn::ExecutionPlanner::plan_from_densities(
-      net, profile.density, profile.measured_input_density, options);
-}
-
 InferenceCost estimate_inference(const nn::NetworkSpec& spec,
                                  const sched::TaskMapping& mapping,
                                  const hw::Platform& platform,

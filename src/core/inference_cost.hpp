@@ -34,18 +34,6 @@ struct ActivationDensityProfile {
     const nn::NetworkSpec& spec, std::uint64_t weight_seed,
     double input_fill = 0.02, std::uint64_t input_seed = 99);
 
-/// Cold-start bridge from the analytical cost model to the engine's
-/// execution planner: seeds an nn::ExecutionPlan for `net` from a cost-
-/// model density probe (measure_activation_densities on a synthetic
-/// sparse input) instead of live warmup traffic. Use when the engine
-/// must route sparsely before any real inputs exist; a later
-/// nn::ExecutionPlanner::calibrate on live inputs supersedes it. Note
-/// the profile's ANN density floor (0.4) applies, so this seed is more
-/// conservative than a live calibration.
-[[nodiscard]] nn::ExecutionPlan seed_execution_plan(
-    const nn::FunctionalNetwork& net, const ActivationDensityProfile& profile,
-    const nn::PlannerOptions& options = {});
-
 struct InferenceCost {
   double latency_us = 0.0;
   double busy_energy_mj = 0.0;  ///< PE-active + transfer energy

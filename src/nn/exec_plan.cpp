@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "nn/engine.hpp"
 
@@ -27,15 +26,6 @@ int ExecutionPlan::sparse_node_count() const noexcept {
   return count;
 }
 
-bool ExecutionPlan::density_in_band(double live_density,
-                                    double band) const noexcept {
-  if (band < 1.0) return false;
-  // An empty probe's band is the single point 0.
-  if (probe_input_density <= 0.0) return live_density <= 0.0;
-  return live_density >= probe_input_density / band &&
-         live_density <= probe_input_density * band;
-}
-
 std::string ExecutionPlan::describe(const NetworkSpec& spec) const {
   std::string out = spec.name + " execution plan (probe input density " +
                     std::to_string(probe_input_density) + "):\n";
@@ -55,6 +45,36 @@ std::string ExecutionPlan::describe(const NetworkSpec& spec) const {
 }
 
 namespace {
+
+// Crossover cost constants, in dense-GEMM-MAC units, fit to single-core
+// measurements of the gather kernels on real engine activations at
+// DAVIS346 scale (see bench_sparse_engine): the packed 8-wide tap
+// reduction runs at ~2x the per-MAC cost of dense GEMM, while the
+// branchy bookkeeping around it (tap enumeration, output-entry emission,
+// boundary scans) costs tens of MAC units per element. The resulting
+// crossover routes event-input layers and low-rate spiking stages sparse
+// and leaves ReLU-dense decoders alone.
+
+/// Per-MAC cost of the gather tap reduction relative to dense GEMM.
+constexpr double kReduceCostFactor = 2.2;
+/// Per-MAC cost of the dense-output scatter kernel (the route narrow
+/// spiking convs take: their LIF consumer needs dense current, so the
+/// engine scatters straight into the staging tensor with no COO
+/// materialization or per-site bookkeeping).
+constexpr double kScatterCostFactor = 3.0;
+/// Cost per bookkeeping element: tap enumeration (one per input non-zero
+/// x kernel tap) and potential output-entry emission (one per active
+/// site x output channel).
+constexpr double kOverheadCostFactor = 25.0;
+/// Cost per element of sparsifying a dense parent at a chain head.
+constexpr double kSparsifyCostPerElement = 8.0;
+/// Cost per element of densifying the output at a route exit.
+constexpr double kDensifyCostPerElement = 2.0;
+/// Sparse must win by this factor to be chosen — hysteresis against
+/// noisy density estimates AND against the model's own error on marginal
+/// layers: a mispredicted marginal route costs real time, while a
+/// skipped marginal win costs almost nothing.
+constexpr double kMargin = 1.35;
 
 /// Kinds the sparse routes can execute: the conv whose synaptic input is
 /// a (possibly sparse) activation map. Transposed convs and FC layers
@@ -85,7 +105,7 @@ namespace {
 /// (~nnz x k^2), output-entry emission (~active sites x Cout) — plus
 /// the representation-boundary scans.
 [[nodiscard]] bool sparse_wins(const LayerSpec& ls, double d_in,
-                               bool chain_head, const PlannerOptions& opt) {
+                               bool chain_head) {
   d_in = std::clamp(d_in, 0.0, 1.0);
   const double dense_macs = static_cast<double>(ls.macs());
   if (dense_macs <= 0.0) return false;
@@ -104,9 +124,9 @@ namespace {
                         static_cast<double>(ls.conv.stride));
     const double scatter_macs = d_in * in_elems * k2s *
                                 static_cast<double>(ls.conv.out_channels);
-    double cost = opt.scatter_cost_factor * scatter_macs;
-    if (chain_head) cost += opt.sparsify_cost_per_element * in_elems;
-    return opt.margin * cost < dense_macs;
+    double cost = kScatterCostFactor * scatter_macs;
+    if (chain_head) cost += kSparsifyCostPerElement * in_elems;
+    return kMargin * cost < dense_macs;
   }
   const double in_pixels = static_cast<double>(ls.in_shape.h) *
                            static_cast<double>(ls.in_shape.w);
@@ -137,38 +157,30 @@ namespace {
   // dense (chain head), and densifying the output (charged always —
   // conservative, since the consumer's route is not known yet; spiking
   // layers always densify for the LIF update).
-  double boundary = opt.densify_cost_per_element * out_elems;
-  if (chain_head) boundary += opt.sparsify_cost_per_element * in_elems;
+  double boundary = kDensifyCostPerElement * out_elems;
+  if (chain_head) boundary += kSparsifyCostPerElement * in_elems;
   const double sparse_cost =
-      opt.margin * (opt.reduce_cost_factor * reduce_macs +
-                    opt.overhead_cost_factor * overhead + boundary);
+      kMargin * (kReduceCostFactor * reduce_macs +
+                 kOverheadCostFactor * overhead + boundary);
   return sparse_cost < dense_macs;
 }
 
-/// Shared planning core over a filled output_density table.
+/// Routes every node from a filled per-node output_density table.
 [[nodiscard]] ExecutionPlan plan_impl(const FunctionalNetwork& net,
                                       std::vector<double> output_density,
                                       double probe_input_density,
-                                      const PlannerOptions& options,
-                                      bool event_input_parents_only) {
+                                      const PlannerOptions& options) {
   const NetworkSpec& spec = net.spec();
-  const std::size_t n = spec.graph.size();
-  if (output_density.size() != n) {
-    throw std::invalid_argument(
-        "ExecutionPlanner: density table size mismatch");
-  }
   ExecutionPlan plan;
-  plan.route.assign(n, Route::kDense);
+  plan.route.assign(spec.graph.size(), Route::kDense);
   plan.output_density = std::move(output_density);
   plan.probe_input_density = probe_input_density;
 
-  const int event_input = spec.graph.input_ids().front();
   for (const LayerNode& node : spec.graph.nodes()) {
     const auto idx = static_cast<std::size_t>(node.id);
     const LayerSpec& ls = node.spec;
     if (!routable_kind(ls.kind) || node.parents.size() != 1) continue;
     const int parent = node.parents.front();
-    if (event_input_parents_only && parent != event_input) continue;
     // The CSR kernels add bias at active sites only; zero bias is what
     // makes the sparse routes numerically identical to dense execution.
     if (!all_zero(net.bias(node.id))) continue;
@@ -184,7 +196,7 @@ namespace {
     const bool parent_chains =
         plan.route[pidx] != Route::kDense &&
         spec.graph.node(parent).spec.kind == LayerKind::kConv;
-    if (!sparse_wins(ls, d_in, /*chain_head=*/!parent_chains, options)) {
+    if (!sparse_wins(ls, d_in, /*chain_head=*/!parent_chains)) {
       continue;
     }
     // Narrow spiking convs were approved on the scatter-route cost model
@@ -203,22 +215,9 @@ namespace {
 
 }  // namespace
 
-ExecutionPlan ExecutionPlanner::plan_from_densities(
-    const FunctionalNetwork& net, std::span<const double> output_density,
-    double probe_input_density, const PlannerOptions& options) {
-  return plan_impl(net,
-                   std::vector<double>(output_density.begin(),
-                                       output_density.end()),
-                   probe_input_density, options,
-                   /*event_input_parents_only=*/false);
-}
-
-ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
-                                          std::span<const ProbeInput> probes,
-                                          const PlannerOptions& options) {
-  if (probes.empty()) {
-    throw std::invalid_argument("ExecutionPlanner::calibrate: no probes");
-  }
+ExecutionPlan ExecutionPlanner::calibrate(
+    FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
+    const sparse::DenseTensor* image, const PlannerOptions& options) {
   const NetworkSpec& spec = net.spec();
   const std::size_t n = spec.graph.size();
   std::vector<double> acc(n, 0.0);
@@ -226,7 +225,7 @@ ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
 
   // Scoped density hook: accumulates mean non-zero fraction per node over
   // every probe timestep, then always restores the caller's hook (the
-  // hook also forces the warmup runs dense, so an already-installed
+  // hook also forces the warmup run dense, so an already-installed
   // execution plan cannot skew its own calibration).
   FunctionalNetwork::ActivationHook previous = net.set_activation_hook(
       [&acc, &hits](int node_id, DenseTensor& activation) {
@@ -234,9 +233,7 @@ ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
         ++hits[static_cast<std::size_t>(node_id)];
       });
   try {
-    for (const ProbeInput& probe : probes) {
-      (void)net.run(probe.event_steps, probe.image);
-    }
+    (void)net.run(event_steps, image);
   } catch (...) {
     net.set_activation_hook(std::move(previous));
     throw;
@@ -250,45 +247,17 @@ ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
   // Input nodes never fire the hook; measure them from the probe tensors.
   const auto input_ids = spec.graph.input_ids();
   double event_acc = 0.0;
-  std::size_t event_hits = 0;
-  double image_acc = 0.0;
-  std::size_t image_hits = 0;
-  for (const ProbeInput& probe : probes) {
-    for (const DenseTensor& step : probe.event_steps) {
-      event_acc += step.density();
-      ++event_hits;
-    }
-    if (probe.image != nullptr) {
-      image_acc += probe.image->density();
-      ++image_hits;
-    }
-  }
+  for (const DenseTensor& step : event_steps) event_acc += step.density();
   const double event_density =
-      event_hits > 0 ? event_acc / static_cast<double>(event_hits) : 0.0;
+      event_steps.empty()
+          ? 0.0
+          : event_acc / static_cast<double>(event_steps.size());
   density[static_cast<std::size_t>(input_ids.front())] = event_density;
   if (input_ids.size() > 1) {
     density[static_cast<std::size_t>(input_ids.back())] =
-        image_hits > 0 ? image_acc / static_cast<double>(image_hits) : 1.0;
+        image != nullptr ? image->density() : 1.0;
   }
-  return plan_impl(net, std::move(density), event_density, options,
-                   /*event_input_parents_only=*/false);
-}
-
-ExecutionPlan ExecutionPlanner::calibrate(
-    FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
-    const sparse::DenseTensor* image, const PlannerOptions& options) {
-  const ProbeInput probe{event_steps, image};
-  return calibrate(net, std::span<const ProbeInput>(&probe, 1), options);
-}
-
-ExecutionPlan ExecutionPlanner::cold_start(const FunctionalNetwork& net,
-                                           const PlannerOptions& options) {
-  const NetworkSpec& spec = net.spec();
-  std::vector<double> density(spec.graph.size(), 1.0);
-  density[static_cast<std::size_t>(spec.graph.input_ids().front())] =
-      options.cold_start_input_density;
-  return plan_impl(net, std::move(density), options.cold_start_input_density,
-                   options, /*event_input_parents_only=*/true);
+  return plan_impl(net, std::move(density), event_density, options);
 }
 
 }  // namespace evedge::nn

@@ -89,7 +89,7 @@ void DegradationController::move_to(double t_ms, int next,
   // Queue-policy side effect of rung 1: kDropOldest while degraded at
   // all, the configured baseline back at level 0. set_policy wakes any
   // producer blocked under kBlock so backpressure releases immediately.
-  if (next >= kDegradeDropOldest && slo_.allow_drop_oldest) {
+  if (next >= kDegradeDropOldest) {
     queue_.set_policy(OverflowPolicy::kDropOldest);
   } else if (next == kDegradeNormal) {
     queue_.set_policy(base_policy_);

@@ -39,6 +39,21 @@ inline constexpr int kDegradeDropOldest = 1;
 inline constexpr int kDegradeWideBatch = 2;
 inline constexpr int kDegradeInt8 = 3;
 
+/// Rolling sample window of the latency trigger's completion-p99 probe
+/// (SloConfig::latency_high_ms).
+inline constexpr std::size_t kSloLatencyWindow = 128;
+/// SLO burn-rate accounting (active whenever SloConfig::deadline_ms > 0):
+/// every frame outcome is classified good (completed within the
+/// deadline) or bad (missed it, shed, or failed) into a per-stream
+/// rolling window of kSloBurnWindow events, and the burn rate — bad
+/// fraction over the window divided by the error budget
+/// (1 - kSloBurnGoodTarget) — is exported as the
+/// `evedge_slo_burn_rate{stream=...}` gauge and surfaced in
+/// StreamServeStats. 1.0 means the stream consumes its error budget
+/// exactly; above it, the budget exhausts early.
+inline constexpr std::size_t kSloBurnWindow = 256;
+inline constexpr double kSloBurnGoodTarget = 0.99;  ///< in-deadline target
+
 struct SloConfig {
   /// Per-frame service deadline, measured from queue admission; frames
   /// older than this when collated are shed before inference. 0 = no
@@ -57,9 +72,6 @@ struct SloConfig {
   /// deliberately slower — flapping costs more than staying degraded).
   int enter_intervals = 3;
   int exit_intervals = 8;
-  /// Rung enables. A disabled rung still occupies its level (the ladder
-  /// shape is fixed); it just has no effect when entered.
-  bool allow_drop_oldest = true;
   int batch_widen_factor = 2;  ///< level-2 multiplier on max_batch
   bool allow_int8 = false;     ///< level 3 reachable at all
   /// Latency-driven trigger: when latency_high_ms > 0 AND a
@@ -72,17 +84,6 @@ struct SloConfig {
   /// tail stays degraded.
   double latency_high_ms = 0.0;  ///< 0 = latency trigger off
   double latency_low_ms = 0.0;   ///< recovery bound (0 = high/2)
-  std::size_t latency_window = 128;  ///< rolling probe sample window
-  /// SLO burn-rate accounting (active whenever deadline_ms > 0): every
-  /// frame outcome is classified good (completed within the deadline)
-  /// or bad (missed it, shed, or failed) into a per-stream rolling
-  /// window, and the burn rate — bad fraction over the window divided
-  /// by the error budget (1 - burn_good_target) — is exported as the
-  /// `evedge_slo_burn_rate{stream=...}` gauge and surfaced in
-  /// StreamServeStats. 1.0 means the stream consumes its error budget
-  /// exactly; above it, the budget exhausts early.
-  std::size_t burn_window = 256;   ///< rolling good/bad event window
-  double burn_good_target = 0.99;  ///< SLO target in-deadline fraction
 
   /// Highest reachable ladder level under these knobs.
   [[nodiscard]] int max_level() const noexcept {
@@ -109,8 +110,8 @@ class DegradationState {
 /// Hysteresis ladder walker, driven by the runtime's monitor thread
 /// (sample() and finish() are called from exactly one thread; the
 /// accessors only after finish()). Owns the queue-policy side effect:
-/// entering level >= 1 switches the queue to kDropOldest (when
-/// allowed), returning to level 0 restores the configured policy.
+/// entering level >= 1 switches the queue to kDropOldest, returning to
+/// level 0 restores the configured policy.
 class DegradationController {
  public:
   /// `queue` and `state` must outlive the controller; the queue's

@@ -36,13 +36,11 @@
 namespace evedge::serve {
 
 /// One merged frame ready for inference, with its provenance and the
-/// timing/telemetry the collator and stats need.
+/// timing the collator, SLO shedding and stats need.
 struct ReadyFrame {
   int stream_id = -1;
   std::int64_t seq = -1;  ///< per-stream dispatch index (0, 1, ...)
   sparse::SparseFrame frame;
-  /// DSFA's recent-density EMA at dispatch time (the drift signal).
-  double ingress_density = 0.0;
   /// First queue admission; preserved across requeues so SLO age and
   /// reported latency span the frame's whole time in the system.
   std::chrono::steady_clock::time_point enqueue_tp{};

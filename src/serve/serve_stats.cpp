@@ -172,10 +172,10 @@ std::string ServeReport::describe() const {
   for (const WorkerServeStats& w : workers) {
     std::snprintf(line, sizeof(line),
                   "  worker %d: %zu batches, %zu samples (mean %.2f), "
-                  "busy %.1f ms, %zu recal, %d sparse routes, "
+                  "busy %.1f ms, %d sparse routes, "
                   "%zu failures, %zu restarts, %zu retried, %zu int8\n",
                   w.worker_id, w.batches, w.samples, w.mean_batch(),
-                  w.busy_ms, w.recalibrations, w.plan_sparse_nodes,
+                  w.busy_ms, w.plan_sparse_nodes,
                   w.failures, w.restarts, w.frames_retried, w.int8_batches);
     out += line;
   }

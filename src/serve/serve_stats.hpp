@@ -228,7 +228,6 @@ struct StreamServeStats {
   bool ingress_failed = false;  ///< the ingress thread died mid-stream
   std::string failure_reason;   ///< first ingress failure (empty otherwise)
   double mean_frame_density = 0.0;  ///< mean merged-frame spatial density
-  double last_ingress_density = 0.0;  ///< DSFA recent_density() at stream end
   LatencyReservoir latency;     ///< enqueue -> inference completion
 
   // SLO burn-rate accounting (all zero unless SloConfig::deadline_ms >
@@ -273,15 +272,18 @@ struct WorkerServeStats {
   std::size_t batch_attempts = 0;  ///< batches started (incl. failed ones)
   std::size_t samples = 0;
   double busy_ms = 0.0;          ///< wall time inside run_events
-  std::size_t calibrations = 0;  ///< planner warmup calibrations (0 or 1)
-  std::size_t recalibrations = 0;  ///< density-drift plan refreshes
+  /// Planner warmup calibrations: one on the first batch, and one more
+  /// on the first batch after each restart().
+  std::size_t calibrations = 0;
+  /// Always 0: a worker keeps its warmup plan for its whole life. Kept
+  /// because the benchmark still reports it as serve.recalibrations.
+  std::size_t recalibrations = 0;
   std::size_t failures = 0;        ///< batches aborted by an exception
   std::size_t restarts = 0;        ///< fresh-clone restarts after a failure
   std::size_t frames_retried = 0;  ///< frames re-enqueued after a failure
   std::size_t frames_shed = 0;     ///< SLO-stale frames this worker shed
   std::size_t int8_batches = 0;    ///< batches served at the int8 rung
   int plan_sparse_nodes = 0;     ///< sparse-routed nodes of the live plan
-  double plan_probe_density = 0.0;  ///< live plan's calibration density
 
   [[nodiscard]] double mean_batch() const noexcept {
     return batches > 0

@@ -207,6 +207,7 @@ ServeReport ServingRuntime::serve_ingresses(
   std::vector<obs::Counter*> m_s_completed;
   std::vector<obs::Counter*> m_s_shed;
   std::vector<obs::Counter*> m_s_failed;
+  std::vector<obs::Counter*> m_s_dropped;
   std::vector<obs::Histogram*> m_s_latency;
   std::vector<obs::Gauge*> g_burn;
   if (obs_config.metrics) {
@@ -243,6 +244,8 @@ ServeReport ServingRuntime::serve_ingresses(
       m_s_shed.push_back(&frames.at({{"stream", id}, {"outcome", "shed"}}));
       m_s_failed.push_back(
           &frames.at({{"stream", id}, {"outcome", "failed"}}));
+      m_s_dropped.push_back(
+          &frames.at({{"stream", id}, {"outcome", "dropped"}}));
       m_s_latency.push_back(&latency.at({{"stream", id}}));
       g_burn.push_back(&burn_rate.at({{"stream", id}}));
     }
@@ -256,8 +259,7 @@ ServeReport ServingRuntime::serve_ingresses(
   std::vector<BurnRateWindow> burn;
   if (slo_burn) {
     burn.resize(ingresses.size(),
-                BurnRateWindow(config_.slo.burn_window,
-                               config_.slo.burn_good_target));
+                BurnRateWindow(kSloBurnWindow, kSloBurnGoodTarget));
   }
 
   // Completion-side accounting, shared by every worker thread.
@@ -270,7 +272,7 @@ ServeReport ServingRuntime::serve_ingresses(
   // consumer and costs a mutex op per completion).
   std::optional<RollingLatency> latency_probe;
   if (config_.slo.degrade && config_.slo.latency_high_ms > 0.0) {
-    latency_probe.emplace(config_.slo.latency_window);
+    latency_probe.emplace(kSloLatencyWindow);
   }
   const ResultSink sink = [&](const ReadyFrame& frame,
                               const DenseTensor& batch_output, int lane,
@@ -505,7 +507,6 @@ ServeReport ServingRuntime::serve_ingresses(
                            wall_end - wall_start)
                            .count());
   }
-  if (snapshotter.has_value()) snapshotter->stop();
 
   // --- Assemble the report.
   report_.wall_ms =
@@ -518,6 +519,13 @@ ServeReport ServingRuntime::serve_ingresses(
   for (std::size_t i = 0; i < ingresses.size(); ++i) {
     StreamServeStats s = ingresses[i]->stats();
     const StreamServeStats& done = completion[i];
+    if (m_failed != nullptr) {
+      // Ingress quarantines never reach the failure sink; count them
+      // here so the scraped outcomes sum to the scraped enqueued count,
+      // as the report's do.
+      m_failed->add(s.failed);
+      m_s_failed[i]->add(s.failed);
+    }
     s.completed = done.completed;
     s.shed = done.shed;
     s.failed += done.failed;  // ingress quarantine + worker quarantine
@@ -536,6 +544,7 @@ ServeReport ServingRuntime::serve_ingresses(
       s.dropped = 0;
       report_.accounting_valid = false;
     }
+    if (!m_s_dropped.empty()) m_s_dropped[i]->add(s.dropped);
     residual_drops += s.dropped;
     report_.frames_completed += s.completed;
     report_.frames_dropped += s.dropped;
@@ -603,6 +612,10 @@ ServeReport ServingRuntime::serve_ingresses(
     report_.max_degrade_level = controller->max_level_reached();
   }
   if (injector != nullptr) report_.faults = injector->counts();
+  // Stopped only now, so the final snapshot on disk carries what report
+  // assembly added to the registry (ingress quarantines, drops, layer
+  // gauges).
+  if (snapshotter.has_value()) snapshotter->stop();
   return report_;
 }
 
@@ -636,20 +649,12 @@ ServingRuntime::SerialResult ServingRuntime::run_serial(
     for (const sparse::SparseFrame& frame : frames_per_stream[s]) {
       one.front() = frame;
       core::frames_to_event_steps(one, event_shape, spec.timesteps, steps);
-      if (use_planner) {
-        const bool stale =
-            plan_ready &&
-            config_.worker.recalibrate_on_drift &&
-            !plan.density_in_band(steps.front().density(),
-                                  config_.worker.recalibration_band);
-        if (!plan_ready || stale) {
-          net.set_execution_plan(nullptr);
-          plan = nn::ExecutionPlanner::calibrate(
-              net, steps, needs_image ? &image : nullptr,
-              config_.worker.planner);
-          net.set_execution_plan(&plan);
-          plan_ready = true;
-        }
+      if (use_planner && !plan_ready) {
+        plan = nn::ExecutionPlanner::calibrate(
+            net, steps, needs_image ? &image : nullptr,
+            config_.worker.planner);
+        net.set_execution_plan(&plan);
+        plan_ready = true;
       }
       result.outputs[s].push_back(
           net.run_batched(steps, needs_image ? &image : nullptr));

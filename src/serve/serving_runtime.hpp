@@ -168,7 +168,7 @@ class ServingRuntime {
     }
   };
   /// `use_planner` mirrors WorkerConfig::use_planner (lazy warmup
-  /// calibration on the first frame, drift re-calibration per frame).
+  /// calibration on the first frame; that plan serves every frame).
   /// The dense reference the workers' run_events path must match: each
   /// frame runs as frames_to_event_steps + run_batched.
   [[nodiscard]] SerialResult run_serial(

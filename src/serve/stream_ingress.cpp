@@ -158,31 +158,29 @@ void StreamIngress::run() {
            density_sum += frame.density();
            // Admission gate: quarantine malformed frames here, where
            // the defect can still be attributed to its (stream, seq).
-           if (config_.validate_frames) {
-             const FrameFault fault = frame_fault_of(frame, height, width);
-             if (fault != FrameFault::kNone) {
-               quarantined_.push_back(
-                   QuarantinedFrame{stream_id_, seq, fault, 0});
-               if (journal_ != nullptr) {
-                 journal_->append(
-                     "quarantine",
-                     "stream=" + std::to_string(stream_id_) +
-                         " seq=" + std::to_string(seq) +
-                         " fault=" + to_string(fault) +
-                         " action=ingress-reject");
-               }
-               ++stats_.enqueued;
-               ++stats_.failed;
-               if (dispatch_counter_ != nullptr) dispatch_counter_->add();
-               ++seq;  // the seq is consumed: downstream keys stay aligned
-               return true;
+           // Costs one pass over the frame's entries.
+           const FrameFault fault = frame_fault_of(frame, height, width);
+           if (fault != FrameFault::kNone) {
+             quarantined_.push_back(
+                 QuarantinedFrame{stream_id_, seq, fault, 0});
+             if (journal_ != nullptr) {
+               journal_->append(
+                   "quarantine",
+                   "stream=" + std::to_string(stream_id_) +
+                       " seq=" + std::to_string(seq) +
+                       " fault=" + to_string(fault) +
+                       " action=ingress-reject");
              }
+             ++stats_.enqueued;
+             ++stats_.failed;
+             if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+             ++seq;  // the seq is consumed: downstream keys stay aligned
+             return true;
            }
            ReadyFrame ready;
            ready.stream_id = stream_id_;
            ready.seq = seq;
            ready.frame = std::move(frame);
-           ready.ingress_density = dsfa.recent_density();
            obs::Tracer::instant("ingress", "frame.dispatch", "stream",
                                 stream_id_, "seq", seq);
            std::optional<ReadyFrame> rejected = queue_.push(std::move(ready));
@@ -208,7 +206,6 @@ void StreamIngress::run() {
     stats_.mean_frame_density =
         density_sum / static_cast<double>(stats_.enqueued);
   }
-  stats_.last_ingress_density = dsfa.recent_density();
 }
 
 std::vector<sparse::SparseFrame> StreamIngress::collect_frames(

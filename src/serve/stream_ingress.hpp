@@ -5,9 +5,8 @@
 // EventStream on its own thread: grayscale-clock intervals are sliced
 // and E2SF-binned, the resulting sparse frames staged through a
 // per-stream DSFA, and every dispatched merged frame enqueued into the
-// shared FrameQueue as a ReadyFrame carrying the stream id, per-stream
-// dispatch index, and DSFA's live density signal (the planner-drift
-// input downstream).
+// shared FrameQueue as a ReadyFrame carrying the stream id and the
+// per-stream dispatch index.
 //
 // Robustness: each dispatched frame is validated before admission
 // (frame_fault_of) — malformed frames (out-of-range COO coordinates,
@@ -51,9 +50,6 @@ struct IngressConfig {
   /// saturation benchmarking); otherwise the stream is replayed at
   /// `pace_speedup` x real time (1 = sensor-faithful arrival times).
   double pace_speedup = 0.0;
-  /// Validate every dispatched frame (frame_fault_of) and quarantine
-  /// malformed ones. Costs one pass over the frame's entries.
-  bool validate_frames = true;
 };
 
 /// Structural validity check for one frame against the stream geometry:

@@ -50,30 +50,27 @@ void WireStreamIngress::on_hello(const wire::StreamHeader& header) {
 
 bool WireStreamIngress::dispatch(sparse::SparseFrame frame) {
   density_sum_ += frame.density();
-  if (config_.validate_frames) {
-    const FrameFault fault =
-        frame_fault_of(frame, header_.height, header_.width);
-    if (fault != FrameFault::kNone) {
-      quarantined_.push_back(QuarantinedFrame{stream_id_, seq_, fault, 0});
-      if (journal_ != nullptr) {
-        journal_->append("quarantine",
-                         "stream=" + std::to_string(stream_id_) +
-                             " seq=" + std::to_string(seq_) +
-                             " fault=" + to_string(fault) +
-                             " action=wire-ingress-reject");
-      }
-      ++stats_.enqueued;
-      ++stats_.failed;
-      if (dispatch_counter_ != nullptr) dispatch_counter_->add();
-      ++seq_;  // seq consumed: (stream, seq) keys stay aligned
-      return true;
+  const FrameFault fault =
+      frame_fault_of(frame, header_.height, header_.width);
+  if (fault != FrameFault::kNone) {
+    quarantined_.push_back(QuarantinedFrame{stream_id_, seq_, fault, 0});
+    if (journal_ != nullptr) {
+      journal_->append("quarantine",
+                       "stream=" + std::to_string(stream_id_) +
+                           " seq=" + std::to_string(seq_) +
+                           " fault=" + to_string(fault) +
+                           " action=wire-ingress-reject");
     }
+    ++stats_.enqueued;
+    ++stats_.failed;
+    if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+    ++seq_;  // seq consumed: (stream, seq) keys stay aligned
+    return true;
   }
   ReadyFrame ready;
   ready.stream_id = stream_id_;
   ready.seq = seq_;
   ready.frame = std::move(frame);
-  ready.ingress_density = dsfa_->recent_density();
   obs::Tracer::instant("ingress", "frame.dispatch", "stream", stream_id_,
                        "seq", seq_);
   std::optional<ReadyFrame> rejected = queue_.push(std::move(ready));
@@ -205,9 +202,6 @@ void WireStreamIngress::run() {
   if (stats_.enqueued > 0) {
     stats_.mean_frame_density =
         density_sum_ / static_cast<double>(stats_.enqueued);
-  }
-  if (dsfa_.has_value()) {
-    stats_.last_ingress_density = dsfa_->recent_density();
   }
 }
 

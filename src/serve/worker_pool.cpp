@@ -19,16 +19,19 @@ using sparse::DenseTensor;
 using sparse::SparseFrame;
 using sparse::TensorShape;
 
+namespace {
+
+/// Cap on the exponential retry backoff (WorkerConfig::retry_backoff_ms).
+constexpr double kRetryBackoffMaxMs = 50.0;
+
+}  // namespace
+
 ServeWorker::ServeWorker(int worker_id,
                          const nn::FunctionalNetwork& prototype,
                          WorkerConfig config)
     : config_(std::move(config)),
       prototype_(&prototype),
       net_(prototype.clone()) {
-  if (config_.recalibration_band < 1.0) {
-    throw std::invalid_argument(
-        "ServeWorker: recalibration band must be >= 1");
-  }
   if (config_.max_retries < 0) {
     throw std::invalid_argument("ServeWorker: max_retries must be >= 0");
   }
@@ -58,15 +61,12 @@ std::vector<DenseTensor> ServeWorker::probe_steps(
 
 void ServeWorker::calibrate_from(const SparseFrame& frame) {
   const std::vector<DenseTensor> probe = probe_steps(frame);
-  // Calibration runs dense warmup probes through a hook; uninstall the
-  // live plan first so the swap is atomic from the engine's view.
-  net_.set_execution_plan(nullptr);
   plan_ = nn::ExecutionPlanner::calibrate(
       net_, probe, needs_image_ ? &image_ : nullptr, config_.planner);
   net_.set_execution_plan(&plan_);
   plan_ready_ = true;
+  ++stats_.calibrations;
   stats_.plan_sparse_nodes = plan_.sparse_node_count();
-  stats_.plan_probe_density = plan_.probe_input_density;
 }
 
 void ServeWorker::apply_precision_rung(bool want_int8,
@@ -106,7 +106,7 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   }
   // Lineage anchor: per-frame inference spans start at the collator's
   // batch-ready stamp, so they cover the handoff into this call as well
-  // as the batch prep below (input adaptation, planner recalibration,
+  // as the batch prep below (input adaptation, planner warmup,
   // precision rung) — all of it is time the frame waits on, and the
   // frame's hops tile its latency with no gap. Direct callers have no
   // collator stamp; their spans start at entry.
@@ -114,33 +114,12 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   if (start_ns == 0 && obs::Tracer::enabled()) start_ns = obs::now_ns();
   emit_progress_ = 0;
   samples_.resize(batch.size());
-  std::size_t nnz = 0;
   for (std::size_t n = 0; n < batch.size(); ++n) {
     samples_[n] = core::frame_to_event_sample(batch[n].frame, event_shape_);
-    for (const sparse::CooChannel& ch : samples_[n]) nnz += ch.nnz();
   }
   const SparseFrame& frame0 = batch.front().frame;
 
-  if (config_.use_planner) {
-    if (!plan_ready_) {
-      calibrate_from(frame0);
-      ++stats_.calibrations;
-    } else if (config_.recalibrate_on_drift) {
-      // The live density signal: nonzero fraction of the adapted event
-      // input, sum(nnz) / (N*C*H*W) — the post-E2SF quantity calibrate()
-      // recorded as probe_input_density (DSFA's recent_density() EMA
-      // rides along in ReadyFrame::ingress_density for sensor-scale
-      // telemetry).
-      const double live_density =
-          static_cast<double>(nnz) /
-          static_cast<double>(batch.size() * event_shape_.element_count());
-      if (!plan_.density_in_band(live_density,
-                                 config_.recalibration_band)) {
-        calibrate_from(frame0);
-        ++stats_.recalibrations;
-      }
-    }
-  }
+  if (config_.use_planner && !plan_ready_) calibrate_from(frame0);
   apply_precision_rung(want_int8_, frame0);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -246,7 +225,7 @@ void ServeWorker::recover_from_failure(FrameQueue& queue,
         std::min(static_cast<double>(consecutive_failures_ - 1), 20.0);
     const double backoff_ms =
         std::min(config_.retry_backoff_ms * std::pow(2.0, doublings),
-                 config_.retry_backoff_max_ms);
+                 kRetryBackoffMaxMs);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));
   }

@@ -9,15 +9,15 @@
 // (core::frame_to_event_sample) and the batch runs through
 // FunctionalNetwork::run_events — no dense event steps on this path.
 //
-//  - lazy warmup calibration: the worker's first collated batch doubles
-//    as the planner probe (a dense rendering of frame 0, made only when
-//    calibration runs), mirroring BatchExecutor;
-//  - drift re-calibration: every batch's live input density (nonzero
-//    fraction of the adapted event input, the post-E2SF quantity the
-//    planner calibrated on) is checked against the plan's calibration
-//    band; when the scene density drifts outside it, the worker re-runs
-//    calibration on the current batch's frame 0 and swaps routes in
-//    place.
+// Planning is lazy and happens once per worker life: the worker's first
+// collated batch doubles as the planner probe (a dense rendering of
+// frame 0, made only when calibration runs), mirroring BatchExecutor,
+// and that plan serves every later batch whatever its density. Routes
+// are bitwise-neutral, so a plan that no longer fits the scene costs
+// time, never output; re-calibrating on density drift measured slower
+// end to end than keeping the warmup plan (its dense probes cost more
+// than the refreshed routes saved). restart() forgets the plan, so the
+// next batch calibrates again.
 //
 // Supervision: a batch that throws does not kill the worker thread.
 // The worker restarts itself on a fresh prototype clone, returns the
@@ -59,19 +59,14 @@ struct WorkerConfig {
   /// all-dense execution.
   bool use_planner = true;
   nn::PlannerOptions planner{};
-  /// Re-calibrate a worker's plan when the live input density leaves
-  /// [probe/band, probe*band] (ExecutionPlan::density_in_band).
-  bool recalibrate_on_drift = true;
-  double recalibration_band = 4.0;
   CollatorConfig collator{};
   /// Supervision retry budget: a frame whose batch failed is retried at
   /// most this many times before quarantine (attempts > max_retries).
   int max_retries = 2;
   /// Exponential backoff after a batch failure: base * 2^(consecutive
-  /// failures - 1), capped at the max. Keeps a crash-looping worker
-  /// from burning its core while siblings drain the queue.
+  /// failures - 1), capped at 50 ms. Keeps a crash-looping worker from
+  /// burning its core while siblings drain the queue.
   double retry_backoff_ms = 1.0;
-  double retry_backoff_max_ms = 50.0;
   /// Per-layer wall-time profiling via the engine's ExecObserver hook
   /// (obs::LayerProfiler); snapshots land in ServeReport::layer_profiles.
   bool profile_layers = false;
@@ -116,7 +111,8 @@ class ServeWorker {
               WorkerConfig config);
 
   /// Runs one collated batch through run_events and emits every frame's
-  /// result to `sink`. Handles planner warmup/drift calibration. Throws
+  /// result to `sink`. Calibrates the plan on the first batch after
+  /// construction or restart(); later batches reuse it. Throws
   /// propagate to the caller (the supervised serve loop catches them).
   void process_batch(const std::vector<ReadyFrame>& batch,
                      const ResultSink& sink);
@@ -129,7 +125,8 @@ class ServeWorker {
 
   /// Replaces the network with a fresh prototype clone and forgets the
   /// execution plan and the installed quant plan (both are rebuilt
-  /// lazily). The supervision path after a batch failure.
+  /// lazily, so the next batch calibrates again). The supervision path
+  /// after a batch failure.
   void restart();
 
   [[nodiscard]] const WorkerServeStats& stats() const noexcept {

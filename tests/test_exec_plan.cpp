@@ -2,10 +2,9 @@
 // zoo-wide bitwise parity of planner-routed run()/run_batched() against
 // dense execution, CSR chain boundary accounting, submanifold stored-site
 // semantics, density telemetry agreement (hook, firing rate, thread
-// counts), plan validation atomicity, int8 composition, the cost-model
-// cold-start bridge, the per-node observer contract, the multi-sample
-// run_batched contract and the COO event input (run_events) against the
-// dense steps it replaces.
+// counts), plan validation atomicity, int8 composition, the per-node
+// observer contract, the multi-sample run_batched contract and the COO
+// event input (run_events) against the dense steps it replaces.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "core/batch_executor.hpp"
-#include "core/inference_cost.hpp"
 #include "nn/engine.hpp"
 #include "nn/exec_plan.hpp"
 #include "nn/zoo.hpp"
@@ -432,26 +430,6 @@ TEST(ExecutionPlanner, DensityTelemetryMatchesDirectMeasurement) {
 
 // ---------------------------------------------------- plan validation
 
-// The recalibration band is [probe/band, probe*band]; an empty probe's
-// band holds empty input only.
-TEST(ExecutionPlan, DensityBandAroundProbe) {
-  en::ExecutionPlan plan;
-  plan.probe_input_density = 0.01;
-  EXPECT_TRUE(plan.density_in_band(0.01, 4.0));
-  EXPECT_TRUE(plan.density_in_band(0.039, 4.0));
-  EXPECT_TRUE(plan.density_in_band(0.0026, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.041, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.0024, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.0, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.01, 0.5));
-
-  plan.probe_input_density = 0.0;
-  EXPECT_TRUE(plan.density_in_band(0.0, 4.0));
-  EXPECT_FALSE(plan.density_in_band(1e-6, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.01, 4.0));
-  EXPECT_FALSE(plan.density_in_band(0.0, 0.5));
-}
-
 TEST(ExecutionPlan, SetPlanValidatesAtomically) {
   const auto spec = en::build_network(en::NetworkId::kSpikeFlowNet,
                                       en::ZooConfig::test_scale());
@@ -550,45 +528,6 @@ TEST(ExecutionPlan, ComposesWithQuantPlan) {
   net.set_execution_plan(nullptr);
   EXPECT_EQ(net.execution_plan(), nullptr);
   net.set_quant_plan(nullptr);
-}
-
-// -------------------------------------------------- cold start + bridge
-
-TEST(ExecutionPlanner, ColdStartRoutesOnlyEventInputLayers) {
-  const auto spec = en::build_network(en::NetworkId::kSpikeFlowNet,
-                                      en::ZooConfig::test_scale());
-  en::FunctionalNetwork net(spec, 7);
-  const auto plan = en::ExecutionPlanner::cold_start(net);
-  const int event_input = spec.graph.input_ids().front();
-  int routed = 0;
-  for (const auto& node : spec.graph.nodes()) {
-    const auto idx = static_cast<std::size_t>(node.id);
-    if (plan.route[idx] == en::Route::kDense) continue;
-    ++routed;
-    ASSERT_EQ(node.parents.size(), 1u);
-    EXPECT_EQ(node.parents.front(), event_input) << node.spec.name;
-  }
-  EXPECT_GT(routed, 0);
-  // Installable and bitwise neutral.
-  const auto probe = make_probe(spec, 13, 0.02);
-  const auto dense_out = net.run(probe.steps);
-  net.set_execution_plan(&plan);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), dense_out), 0.0f);
-  net.set_execution_plan(nullptr);
-}
-
-TEST(ExecutionPlanner, CostModelSeedBridgesToPlan) {
-  const auto spec = en::build_network(en::NetworkId::kAdaptiveSpikeNet,
-                                      en::ZooConfig::test_scale());
-  const auto profile = ec::measure_activation_densities(spec, 7, 0.02);
-  en::FunctionalNetwork net(spec, 7);
-  const auto plan = ec::seed_execution_plan(net, profile);
-  EXPECT_GT(plan.sparse_node_count(), 0);
-  const auto probe = make_probe(spec, 17, 0.02);
-  const auto dense_out = net.run(probe.steps);
-  net.set_execution_plan(&plan);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), dense_out), 0.0f);
-  net.set_execution_plan(nullptr);
 }
 
 // ----------------------------------------------- batch executor planner

@@ -958,7 +958,7 @@ TEST(ServeObservability, BurnRateAccountsSloExtremes) {
   }
 
   // A deadline nothing can meet: every frame is shed, the whole window
-  // is bad, and burn = bad_fraction / (1 - burn_good_target) saturates
+  // is bad, and burn = bad_fraction / (1 - kSloBurnGoodTarget) saturates
   // at 1/0.01 = 100x the error budget.
   config.slo.deadline_ms = 0.0001;
   {
@@ -970,7 +970,7 @@ TEST(ServeObservability, BurnRateAccountsSloExtremes) {
     EXPECT_GT(s.burn_rate, 1.0);  // burning through the budget
     if (s.slo_good == 0) {
       EXPECT_DOUBLE_EQ(s.burn_rate,
-                       1.0 / (1.0 - config.slo.burn_good_target));
+                       1.0 / (1.0 - ev::kSloBurnGoodTarget));
     }
     // The labeled gauge carries the same final rolling value the report
     // hands back.

@@ -1,13 +1,14 @@
 // Serving-runtime test suite: FrameQueue policies, collator triggers,
 // ingress determinism, the concurrent-vs-serial bitwise parity contract
 // (drop policy disabled), drop accounting, the FunctionalNetwork clone
-// contract under true thread concurrency (zoo-wide), planner drift
-// re-calibration, and the hardened EVEDGE_THREADS handling — plus the
-// fault-tolerance layer: deterministic fault injection, E2SF/ingress
-// malformed-input validation, worker supervision (restart / retry /
-// quarantine), SLO shedding, the graceful-degradation ladder, and the
-// per-stream frame-accounting invariant
-// (enqueued == completed + dropped + shed + failed).
+// contract under true thread concurrency (zoo-wide), one planner
+// calibration per worker life, and the hardened EVEDGE_THREADS handling
+// — plus the fault-tolerance layer: deterministic fault injection,
+// E2SF/ingress malformed-input validation, worker supervision (restart /
+// retry / quarantine), SLO shedding, the graceful-degradation ladder,
+// and the per-stream frame-accounting invariant
+// (enqueued == completed + dropped + shed + failed), in the report and
+// in the Prometheus scrape alike.
 //
 // This suite is also the ThreadSanitizer CI target: every lock-guarded
 // hand-off (queue, result sink, pool shutdown, requeue, mid-run policy
@@ -19,11 +20,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/batch_executor.hpp"
 #include "core/dsfa.hpp"
@@ -33,6 +40,7 @@
 #include "events/event_synth.hpp"
 #include "nn/engine.hpp"
 #include "nn/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "quant/accuracy.hpp"
 #include "serve/serving_runtime.hpp"
 #include "sparse/tensor.hpp"
@@ -40,6 +48,7 @@
 namespace ec = evedge::core;
 namespace ee = evedge::events;
 namespace en = evedge::nn;
+namespace eo = evedge::obs;
 namespace eq = evedge::quant;
 namespace es = evedge::sparse;
 namespace ev = evedge::serve;
@@ -89,6 +98,69 @@ ev::IngressConfig test_ingress() {
   return config;
 }
 
+/// One stream's frame ledger as the Prometheus scrape reports it: the
+/// enqueued counter and each outcome series of the global registry
+/// (which accumulates across runs, so tests compare deltas).
+struct ScrapedLedger {
+  std::uint64_t enqueued = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t dropped = 0;
+};
+
+ScrapedLedger scrape_ledger(std::size_t stream) {
+  eo::MetricsRegistry& registry = eo::MetricsRegistry::global();
+  const std::string id = std::to_string(stream);
+  eo::LabeledCounter& frames =
+      registry.labeled_counter("evedge_stream_frames_total");
+  const auto outcome = [&](const char* name) {
+    return frames.at({{"stream", id}, {"outcome", name}}).value();
+  };
+  ScrapedLedger ledger;
+  ledger.enqueued =
+      registry.labeled_counter("evedge_stream_frames_enqueued_total")
+          .at({{"stream", id}})
+          .value();
+  ledger.completed = outcome("completed");
+  ledger.shed = outcome("shed");
+  ledger.failed = outcome("failed");
+  ledger.dropped = outcome("dropped");
+  return ledger;
+}
+
+std::vector<ScrapedLedger> scrape_ledgers(std::size_t streams) {
+  std::vector<ScrapedLedger> ledgers;
+  for (std::size_t s = 0; s < streams; ++s) {
+    ledgers.push_back(scrape_ledger(s));
+  }
+  return ledgers;
+}
+
+/// Per stream, this run's scraped deltas (against `before`) must balance
+/// — enqueued == completed + shed + failed + dropped — and each must
+/// equal the report's field: the report and the scrape agree.
+void expect_scrape_matches_report(const std::vector<ScrapedLedger>& before,
+                                  const ev::ServeReport& report) {
+  ASSERT_EQ(before.size(), report.streams.size());
+  for (std::size_t s = 0; s < before.size(); ++s) {
+    const ScrapedLedger after = scrape_ledger(s);
+    const std::uint64_t enqueued = after.enqueued - before[s].enqueued;
+    const std::uint64_t completed = after.completed - before[s].completed;
+    const std::uint64_t shed = after.shed - before[s].shed;
+    const std::uint64_t failed = after.failed - before[s].failed;
+    const std::uint64_t dropped = after.dropped - before[s].dropped;
+    const ev::StreamServeStats& r = report.streams[s];
+    EXPECT_EQ(enqueued, completed + shed + failed + dropped)
+        << "stream " << s;
+    EXPECT_EQ(enqueued, r.enqueued) << "stream " << s;
+    EXPECT_EQ(completed, r.completed) << "stream " << s;
+    EXPECT_EQ(shed, r.shed) << "stream " << s;
+    EXPECT_EQ(failed, r.failed) << "stream " << s;
+    EXPECT_EQ(dropped, r.dropped) << "stream " << s;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------- EVEDGE_THREADS
@@ -129,40 +201,6 @@ TEST(ParallelThreads, ProgrammaticOverrideWinsOverEnv) {
   ec::set_parallel_threads(previous);
   EXPECT_EQ(ec::parallel_thread_count(), 3);
   ASSERT_EQ(unsetenv("EVEDGE_THREADS"), 0);
-}
-
-// ------------------------------------------------------ DSFA density signal
-
-TEST(DsfaDensity, RecentDensityTracksPushedFrames) {
-  ec::DsfaConfig config;
-  config.density_ema_alpha = 0.5;
-  config.event_buffer_size = 100;  // no dispatch interference
-  ec::DynamicSparseFrameAggregator dsfa(config);
-  EXPECT_EQ(dsfa.recent_density(), 0.0);
-  EXPECT_EQ(dsfa.density_drift(0.5), 0.0);  // no signal yet
-
-  const auto frame_of = [](double fill, std::uint64_t seed) {
-    return synthetic_ready(0, 0, 24, 32, fill, seed).frame;
-  };
-  const es::SparseFrame sparse = frame_of(0.02, 1);
-  dsfa.push(sparse);
-  EXPECT_DOUBLE_EQ(dsfa.recent_density(), sparse.density());
-
-  // A run of much denser frames pulls the EMA toward their density.
-  const es::SparseFrame dense_frame = frame_of(0.5, 2);
-  for (int i = 0; i < 8; ++i) dsfa.push(dense_frame);
-  EXPECT_GT(dsfa.recent_density(), 0.9 * dense_frame.density());
-  EXPECT_GT(dsfa.density_drift(sparse.density()), 2.0);
-}
-
-TEST(DsfaDensity, RejectsBadAlpha) {
-  ec::DsfaConfig config;
-  config.density_ema_alpha = 0.0;
-  EXPECT_THROW(ec::DynamicSparseFrameAggregator{config},
-               std::invalid_argument);
-  config.density_ema_alpha = 1.5;
-  EXPECT_THROW(ec::DynamicSparseFrameAggregator{config},
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------------- FrameQueue
@@ -281,13 +319,11 @@ TEST(StreamIngress, OfflineCollectIsDeterministicAndMatchesLiveRun) {
   ingress.run();
   EXPECT_EQ(ingress.stats().enqueued, frames_a.size());
   EXPECT_GT(ingress.stats().raw_frames, frames_a.size());  // DSFA merges
-  EXPECT_GT(ingress.stats().last_ingress_density, 0.0);
   std::size_t drained = 0;
   queue.close();
   while (auto frame = queue.pop()) {
     EXPECT_EQ(frame->seq, static_cast<std::int64_t>(drained));
     EXPECT_EQ(frame->frame.nnz(), frames_a[drained].nnz());
-    EXPECT_GT(frame->ingress_density, 0.0);
     ++drained;
   }
   EXPECT_EQ(drained, frames_a.size());
@@ -393,7 +429,15 @@ TEST(ServingRuntime, DropPolicyAccountsEveryFrame) {
   config.queue_capacity = 2;  // tiny: ingress outruns the single worker
   config.overflow = ev::OverflowPolicy::kDropOldest;
   config.worker.use_planner = false;
+  config.obs.metrics = true;
+  // A snapshot interval longer than the run: the file holds only the
+  // final snapshot taken when the run ends.
+  config.obs.snapshot_interval_ms = 600'000.0;
+  config.obs.snapshot_prom_path = ::testing::TempDir() +
+                                  "evedge_drop_ledger_" +
+                                  std::to_string(::getpid()) + ".prom";
   ev::ServingRuntime runtime(spec, 7, config);
+  const std::vector<ScrapedLedger> before = scrape_ledgers(streams.size());
   const ev::ServeReport report = runtime.run(streams);
 
   std::size_t enqueued = 0;
@@ -404,6 +448,15 @@ TEST(ServingRuntime, DropPolicyAccountsEveryFrame) {
   EXPECT_EQ(report.frames_completed + report.frames_dropped, enqueued);
   EXPECT_GT(report.frames_completed, 0u);
   EXPECT_GT(report.queue_peak_depth, 0u);
+  // Drop-oldest displacements reach the scrape per stream too, and the
+  // on-disk snapshot is the registry as the run left it.
+  expect_scrape_matches_report(before, report);
+  std::ifstream prom(config.obs.snapshot_prom_path);
+  ASSERT_TRUE(prom.good());
+  std::ostringstream text;
+  text << prom.rdbuf();
+  EXPECT_EQ(text.str(), eo::MetricsRegistry::global().prometheus_text());
+  std::remove(config.obs.snapshot_prom_path.c_str());
 }
 
 // ----------------------------------------------------- clone concurrency
@@ -468,96 +521,69 @@ TEST(CloneContract, ConcurrentClonesBitMatchSerialAcrossZoo) {
   }
 }
 
-// ------------------------------------------------- planner drift refresh
+// ------------------------------------------------ one plan per worker life
 
-TEST(DriftRecalibration, DensityShiftUpdatesWorkerRoutes) {
+// A worker plans once, on its first batch, and keeps that plan whatever
+// the density of later batches; restart() forgets it, so the next batch
+// calibrates again. Routes are bitwise-neutral, so every output still
+// equals the unplanned dense reference.
+TEST(PlanOnce, WarmupPlanServesUntilRestart) {
   // Mid scale with paper-band thresholds: the event-input layer routes
-  // sparse at ~1% fill and must fall back to dense when the live density
-  // jumps far out of the calibration band.
+  // sparse at ~1% fill and would not at ~60%.
   const en::NetworkSpec spec = en::build_network(
       en::NetworkId::kDotie, en::ZooConfig{64, 88, 16, 5, 2.0f});
   const auto shape =
       spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
   en::FunctionalNetwork prototype(spec, 7);
+  en::FunctionalNetwork reference = prototype.clone();  // no plan: dense
 
-  ev::WorkerConfig config;
-  config.recalibration_band = 4.0;
-  ev::ServeWorker worker(0, prototype, config);
-  std::size_t sunk = 0;
-  const ev::ResultSink sink =
-      [&](const ev::ReadyFrame&, const es::DenseTensor&, int, double) {
-        ++sunk;
-      };
+  ev::ServeWorker worker(0, prototype, ev::WorkerConfig{});
+  std::size_t checked = 0;
+  const ev::ResultSink sink = [&](const ev::ReadyFrame& ready,
+                                  const es::DenseTensor& batch_output,
+                                  int lane, double) {
+    es::DenseTensor served;
+    es::copy_sample(batch_output, lane, served);
+    std::vector<es::DenseTensor> steps;
+    ec::frames_to_event_steps({ready.frame}, shape, spec.timesteps, steps);
+    const es::DenseTensor expected = reference.run_batched(steps);
+    ASSERT_EQ(served.shape(), expected.shape());
+    EXPECT_EQ(std::memcmp(served.data().data(), expected.data().data(),
+                          served.size() * sizeof(float)),
+              0)
+        << "seq " << ready.seq;
+    ++checked;
+  };
+  const auto batch_at = [&](double fill, std::int64_t seq0,
+                            std::uint64_t seed0) {
+    std::vector<ev::ReadyFrame> batch;
+    for (int i = 0; i < 2; ++i) {
+      batch.push_back(
+          synthetic_ready(0, seq0 + i, shape.h, shape.w, fill, seed0 + i));
+    }
+    return batch;
+  };
 
-  // Warmup at ~1% fill: lazy calibration, no recalibration.
-  std::vector<ev::ReadyFrame> sparse_batch;
-  for (int i = 0; i < 2; ++i) {
-    sparse_batch.push_back(
-        synthetic_ready(0, i, shape.h, shape.w, 0.01, 41 + i));
-  }
-  worker.process_batch(sparse_batch, sink);
+  worker.process_batch(batch_at(0.01, 0, 41), sink);
   ASSERT_NE(worker.plan(), nullptr);
   EXPECT_EQ(worker.stats().calibrations, 1u);
-  EXPECT_EQ(worker.stats().recalibrations, 0u);
-  const double sparse_probe = worker.stats().plan_probe_density;
-  const int sparse_routes = worker.plan()->sparse_node_count();
-  EXPECT_GT(sparse_routes, 0);  // the event layer routes sparse at 1%
+  const std::vector<en::Route> warm_routes = worker.plan()->route;
+  EXPECT_GT(worker.plan()->sparse_node_count(), 0);
 
-  // Same regime again: still in band, no refresh.
-  worker.process_batch(sparse_batch, sink);
-  EXPECT_EQ(worker.stats().recalibrations, 0u);
-
-  // Scene shift to ~60% fill: far outside the 4x band -> recalibrate,
-  // and the dense regime must drop the sparse routes.
-  std::vector<ev::ReadyFrame> dense_batch;
-  for (int i = 0; i < 2; ++i) {
-    dense_batch.push_back(
-        synthetic_ready(0, 10 + i, shape.h, shape.w, 0.6, 51 + i));
-  }
+  // Scene shift to ~60% fill: the warmup plan stays.
+  const std::vector<ev::ReadyFrame> dense_batch = batch_at(0.6, 10, 51);
   worker.process_batch(dense_batch, sink);
-  EXPECT_EQ(worker.stats().recalibrations, 1u);
-  EXPECT_GT(worker.stats().plan_probe_density, 4.0 * sparse_probe);
-  EXPECT_LT(worker.plan()->sparse_node_count(), sparse_routes);
-  EXPECT_EQ(sunk, 6u);
-}
-
-// One empty batch recalibrates once: the zero-density plan it leaves is
-// in band for further empty batches, so a quiet scene does not pay a
-// dense calibration per batch — and events coming back leave that band.
-TEST(DriftRecalibration, EmptyBatchesRecalibrateOnce) {
-  const en::NetworkSpec spec = en::build_network(
-      en::NetworkId::kDotie, en::ZooConfig{64, 88, 16, 5, 2.0f});
-  const auto shape =
-      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
-  en::FunctionalNetwork prototype(spec, 7);
-
-  ev::WorkerConfig config;
-  config.recalibration_band = 4.0;
-  ev::ServeWorker worker(0, prototype, config);
-  std::size_t sunk = 0;
-  const ev::ResultSink sink =
-      [&](const ev::ReadyFrame&, const es::DenseTensor&, int, double) {
-        ++sunk;
-      };
-
-  const std::vector<ev::ReadyFrame> sparse_batch{
-      synthetic_ready(0, 0, shape.h, shape.w, 0.01, 41)};
-  worker.process_batch(sparse_batch, sink);
   EXPECT_EQ(worker.stats().calibrations, 1u);
   EXPECT_EQ(worker.stats().recalibrations, 0u);
+  ASSERT_NE(worker.plan(), nullptr);
+  EXPECT_EQ(worker.plan()->route, warm_routes);
 
-  ev::ReadyFrame empty;
-  empty.frame = es::SparseFrame::from_dense(
-      es::DenseTensor(es::TensorShape{1, 2, shape.h, shape.w}));
-  empty.enqueue_tp = std::chrono::steady_clock::now();
-  const std::vector<ev::ReadyFrame> empty_batch{empty, empty};
-  for (int i = 0; i < 5; ++i) worker.process_batch(empty_batch, sink);
-  EXPECT_EQ(worker.stats().recalibrations, 1u);
-  EXPECT_EQ(worker.stats().plan_probe_density, 0.0);
-
-  worker.process_batch(sparse_batch, sink);
-  EXPECT_EQ(worker.stats().recalibrations, 2u);
-  EXPECT_EQ(sunk, 12u);
+  worker.restart();
+  EXPECT_EQ(worker.plan(), nullptr);
+  worker.process_batch(dense_batch, sink);
+  EXPECT_EQ(worker.stats().calibrations, 2u);
+  EXPECT_EQ(worker.stats().recalibrations, 0u);
+  EXPECT_EQ(checked, 6u);
 }
 
 // ------------------------------------------------------------ serve stats
@@ -876,10 +902,18 @@ TEST(FaultTolerance, CorruptFrameIsQuarantinedOthersServe) {
   corrupt.seq = 1;
   corrupt.corrupt = ev::CorruptKind::kOutOfBoundsCoordinate;
   config.faults.add(corrupt);
+  config.obs.metrics = true;
   ev::ServingRuntime runtime(spec, 7, config);
+  const std::vector<ScrapedLedger> before = scrape_ledgers(streams.size());
+  eo::Counter& failed_total =
+      eo::MetricsRegistry::global().counter("evedge_frames_failed_total");
+  const std::uint64_t failed_before = failed_total.value();
   const ev::ServeReport report = runtime.run(streams);
 
   EXPECT_TRUE(report.accounting_ok());
+  // The ingress quarantine is a failed outcome in the scrape as well.
+  expect_scrape_matches_report(before, report);
+  EXPECT_EQ(failed_total.value() - failed_before, report.frames_failed);
   EXPECT_EQ(report.faults.corrupt_frames, 1u);
   EXPECT_EQ(report.frames_failed, 1u);
   ASSERT_EQ(report.streams.size(), 2u);
