@@ -1,13 +1,15 @@
 // Kernel micro-benchmark: times the seed reference kernels
 // (sparse::reference) against the rewritten fast paths on identical
-// inputs — dense conv2d (direct + GEMM), sparse_conv2d and
-// submanifold_conv2d at DAVIS346-scale shapes across event densities —
-// and writes machine-readable results to BENCH_kernels.json so the perf
-// trajectory is tracked from PR 1 onward. Parity (max abs diff vs the
-// reference) is reported alongside every timing.
+// inputs — dense conv2d (direct + GEMM), transposed_conv2d,
+// sparse_conv2d and submanifold_conv2d at DAVIS346-scale shapes across
+// event densities — and writes machine-readable results to
+// BENCH_kernels.json so the perf trajectory is tracked across changes.
+// Parity (max abs diff vs the reference) is reported alongside every
+// timing.
 //
 // Usage: bench_kernels [output.json]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,6 +34,7 @@ struct Result {
   double ref_ms = 0.0;
   double fast_ms = 0.0;
   double max_abs_diff = 0.0;
+  double macs = 0.0;  ///< dense-equivalent MACs per call (0 = not shown)
 
   [[nodiscard]] double speedup() const {
     return fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
@@ -76,6 +79,42 @@ Result bench_dense_conv(const std::string& label, const es::TensorShape& in,
   r.max_abs_diff = es::max_abs_diff(
       en::conv2d(input, weights, bias, spec),
       es::reference::conv2d(input, weights, bias, spec));
+  return r;
+}
+
+/// Transposed conv k4 s2 p1 (SpikeFlowNet's decoder geometry): the seed
+/// scatter against the phase-split GEMM kernel on a post-ReLU input (the
+/// scatter skips its zeros). MACs count every input pixel through all
+/// k x k taps, the dense-equivalent work of both.
+Result bench_tconv(const std::string& label, const es::TensorShape& in,
+                   int out_channels, int ref_reps, int fast_reps) {
+  const es::Conv2dSpec spec{in.c, out_channels, 4, 2, 1};
+  es::DenseTensor input(in);
+  input.fill_random(41);
+  for (float& v : input.data()) v = std::max(v, 0.0f);
+  es::DenseTensor weights(es::TensorShape{out_channels, in.c, 4, 4});
+  weights.fill_random(42, 0.2f);
+  std::vector<float> bias(static_cast<std::size_t>(out_channels), 0.05f);
+  es::Workspace ws;
+  es::DenseTensor out;
+
+  Result r;
+  r.kernel = "transposed_conv2d";
+  r.shape = label;
+  r.macs = static_cast<double>(in.element_count()) * out_channels * 16.0;
+  r.ref_ms = time_best_ms(
+      [&] {
+        (void)es::reference::transposed_conv2d(input, weights, bias, spec);
+      },
+      ref_reps);
+  r.fast_ms = time_best_ms(
+      [&] {
+        en::transposed_conv2d_into(input, weights, bias, spec, out, &ws);
+      },
+      fast_reps);
+  r.max_abs_diff = es::max_abs_diff(
+      en::transposed_conv2d(input, weights, bias, spec),
+      es::reference::transposed_conv2d(input, weights, bias, spec));
   return r;
 }
 
@@ -245,9 +284,14 @@ int main(int argc, char** argv) {
               "density", "ref_ms", "fast_ms", "speedup", "max_diff");
 
   const auto report = [&](Result r) {
-    std::printf("%-22s %-26s %8.4f %10.3f %10.3f %8.1fx %12.3g\n",
+    std::printf("%-22s %-26s %8.4f %10.3f %10.3f %8.1fx %12.3g",
                 r.kernel.c_str(), r.shape.c_str(), r.density, r.ref_ms,
                 r.fast_ms, r.speedup(), r.max_abs_diff);
+    if (r.macs > 0.0) {
+      std::printf("   GMAC/s ref %.2f fast %.2f", r.macs / (r.ref_ms * 1e6),
+                  r.macs / (r.fast_ms * 1e6));
+    }
+    std::printf("\n");
     std::fflush(stdout);
     results.push_back(std::move(r));
   };
@@ -262,6 +306,13 @@ int main(int argc, char** argv) {
                           es::TensorShape{1, 2, 260, 346}, 16, 3, 1, 1, 3, 9));
   report(bench_dense_conv("16x16x22 -> 32 k1s1 (direct)",
                           es::TensorShape{1, 16, 16, 22}, 32, 1, 1, 0, 5, 15));
+
+  // --- Transposed conv at two of SpikeFlowNet's benchmark-scale decoder
+  // shapes (dec1 and dec3).
+  report(bench_tconv("32x48x64 -> 16 k4s2", es::TensorShape{1, 32, 48, 64},
+                     16, 3, 9));
+  report(bench_tconv("128x12x16 -> 32 k4s2",
+                     es::TensorShape{1, 128, 12, 16}, 32, 3, 9));
 
   // --- Sparse scatter conv at DAVIS346 scale across densities.
   for (const double d : {0.005, 0.01, 0.02, 0.05}) {

@@ -43,6 +43,15 @@ void require_weight_node(const std::vector<DenseTensor>& weights,
   }
 }
 
+/// `t` itself when its extent is already h x w (no copy), else its
+/// center crop, stored in `storage`.
+const DenseTensor& cropped(const DenseTensor& t, int h, int w,
+                           DenseTensor& storage) {
+  if (t.shape().h == h && t.shape().w == w) return t;
+  storage = center_crop(t, h, w);
+  return storage;
+}
+
 }  // namespace
 
 DenseTensor center_crop(const DenseTensor& t, int h, int w) {
@@ -397,8 +406,8 @@ void FunctionalNetwork::run_quant_tconv(const quant::NodeQuantPlan& nq,
   if (quant_plan_->simulate) {
     quant::quantize_activations_reference(input, nq.input_scale,
                                           quant_staging_);
-    out = transposed_conv2d(quant_staging_, nq.weights.fake, bias,
-                            nq.weights.spec);
+    transposed_conv2d_into(quant_staging_, nq.weights.fake, bias,
+                           nq.weights.spec, out, &workspace_);
     return;
   }
   quant::int8_transposed_conv2d_into(input, nq.weights, bias, nq.input_scale,
@@ -673,8 +682,8 @@ DenseTensor FunctionalNetwork::run_sample(
           if (const auto* nq = node_quant(idx)) {
             run_quant_tconv(*nq, src, biases_[idx], out);
           } else {
-            out = transposed_conv2d(src, weights_[idx], biases_[idx],
-                                    ls.conv);
+            transposed_conv2d_into(src, weights_[idx], biases_[idx],
+                                   ls.conv, out, &workspace_);
           }
           if (ls.relu_after) relu_inplace(out);
           dense_valid_[idx] = 1;
@@ -738,21 +747,18 @@ DenseTensor FunctionalNetwork::run_sample(
                                  ls.upsample_factor);
           dense_valid_[idx] = 1;
           break;
-        case LayerKind::kConcat: {
-          const DenseTensor& a = dense_value(node.parents[0]);
-          const DenseTensor& b = dense_value(node.parents[1]);
-          const int h = std::min(a.shape().h, b.shape().h);
-          const int w = std::min(a.shape().w, b.shape().w);
-          out = concat_channels(center_crop(a, h, w), center_crop(b, h, w));
-          dense_valid_[idx] = 1;
-          break;
-        }
+        case LayerKind::kConcat:
         case LayerKind::kAdd: {
           const DenseTensor& a = dense_value(node.parents[0]);
           const DenseTensor& b = dense_value(node.parents[1]);
           const int h = std::min(a.shape().h, b.shape().h);
           const int w = std::min(a.shape().w, b.shape().w);
-          out = add(center_crop(a, h, w), center_crop(b, h, w));
+          DenseTensor crop_a;
+          DenseTensor crop_b;
+          const DenseTensor& ca = cropped(a, h, w, crop_a);
+          const DenseTensor& cb = cropped(b, h, w, crop_b);
+          out = ls.kind == LayerKind::kConcat ? concat_channels(ca, cb)
+                                              : add(ca, cb);
           dense_valid_[idx] = 1;
           break;
         }

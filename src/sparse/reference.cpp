@@ -1,5 +1,6 @@
 #include "sparse/reference.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -81,6 +82,81 @@ DenseTensor conv2d(const DenseTensor& input, const DenseTensor& weights,
             }
           }
           out.at(n, oc, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+DenseTensor transposed_conv2d(const DenseTensor& input,
+                              const DenseTensor& weights,
+                              std::span<const float> bias,
+                              const Conv2dSpec& spec) {
+  validate_conv_spec(spec);
+  const TensorShape& is = input.shape();
+  const TensorShape& ws = weights.shape();
+  if (is.c != spec.in_channels) {
+    throw std::invalid_argument("reference tconv2d: input channel mismatch");
+  }
+  if (ws.n != spec.out_channels || ws.c != spec.in_channels ||
+      ws.h != spec.kernel || ws.w != spec.kernel) {
+    throw std::invalid_argument("reference tconv2d: weight shape mismatch");
+  }
+  if (!bias.empty() && static_cast<int>(bias.size()) != spec.out_channels) {
+    throw std::invalid_argument("reference tconv2d: bias size mismatch");
+  }
+  const int out_h = (is.h - 1) * spec.stride - 2 * spec.padding + spec.kernel;
+  const int out_w = (is.w - 1) * spec.stride - 2 * spec.padding + spec.kernel;
+  if (out_h <= 0 || out_w <= 0) {
+    throw std::invalid_argument("transposed conv output extent <= 0");
+  }
+  DenseTensor out(TensorShape{is.n, spec.out_channels, out_h, out_w});
+
+  const float* in = input.raw();
+  const float* w = weights.raw();
+  float* o = out.raw();
+  const std::size_t in_plane = input.stride_c();
+  const std::size_t in_batch = input.stride_n();
+  const std::size_t out_plane =
+      static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
+  const std::size_t out_batch =
+      static_cast<std::size_t>(spec.out_channels) * out_plane;
+  const std::size_t w_oc = weights.stride_n();
+  const std::size_t w_ic = weights.stride_c();
+
+  for (int n = 0; n < is.n; ++n) {
+    const float* in_n = in + static_cast<std::size_t>(n) * in_batch;
+    float* out_n = o + static_cast<std::size_t>(n) * out_batch;
+    for (int oc = 0; oc < spec.out_channels; ++oc) {
+      float* out_c = out_n + static_cast<std::size_t>(oc) * out_plane;
+      const float b = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(oc)];
+      std::fill(out_c, out_c + out_plane, b);
+      const float* w_base = w + static_cast<std::size_t>(oc) * w_oc;
+      for (int ic = 0; ic < spec.in_channels; ++ic) {
+        const float* in_c = in_n + static_cast<std::size_t>(ic) * in_plane;
+        const float* w_k = w_base + static_cast<std::size_t>(ic) * w_ic;
+        for (int iy = 0; iy < is.h; ++iy) {
+          const float* in_row = in_c + static_cast<std::size_t>(iy) *
+                                           static_cast<std::size_t>(is.w);
+          for (int ix = 0; ix < is.w; ++ix) {
+            const float v = in_row[ix];
+            if (v == 0.0f) continue;
+            for (int ky = 0; ky < spec.kernel; ++ky) {
+              const int oy = iy * spec.stride + ky - spec.padding;
+              if (oy < 0 || oy >= out_h) continue;
+              float* out_row = out_c + static_cast<std::size_t>(oy) *
+                                           static_cast<std::size_t>(out_w);
+              const float* w_row =
+                  w_k + static_cast<std::size_t>(ky) *
+                            static_cast<std::size_t>(spec.kernel);
+              for (int kx = 0; kx < spec.kernel; ++kx) {
+                const int ox = ix * spec.stride + kx - spec.padding;
+                if (ox < 0 || ox >= out_w) continue;
+                out_row[ox] += v * w_row[kx];
+              }
+            }
+          }
         }
       }
     }

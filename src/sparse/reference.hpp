@@ -2,8 +2,8 @@
 
 // Seed reference kernels, preserved verbatim from the original naive
 // implementations. They are deliberately slow (checked at() per element,
-// per-tap binary searches, std::set active-site union) and exist for two
-// reasons only:
+// per-tap binary searches, std::set active-site union, a scalar scatter)
+// and exist for two reasons only:
 //  - the randomized parity suite pins the fast kernels in nn/kernels.cpp
 //    and sparse/sparse_ops.cpp against them, and
 //  - bench_kernels times old-vs-new on identical inputs so the perf
@@ -24,6 +24,15 @@ namespace evedge::sparse::reference {
                                  const DenseTensor& weights,
                                  std::span<const float> bias,
                                  const Conv2dSpec& spec);
+
+/// The seed nn::transposed_conv2d: a per-output-channel scatter of every
+/// non-zero input through its k x k taps, (ic, iy, ix) ascending. Kept
+/// verbatim except that the output channels run in a plain loop instead
+/// of a parallel_for (results are the same either way).
+[[nodiscard]] DenseTensor transposed_conv2d(const DenseTensor& input,
+                                            const DenseTensor& weights,
+                                            std::span<const float> bias,
+                                            const Conv2dSpec& spec);
 
 /// The seed scatter sparse convolution (checked at() accumulation).
 [[nodiscard]] DenseTensor sparse_conv2d(std::span<const CooChannel> input,

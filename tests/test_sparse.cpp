@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <set>
 #include <string>
@@ -412,6 +413,12 @@ std::vector<es::CooChannel> random_parity_channels(int channels, int h, int w,
   return out;
 }
 
+// True when two dense tensors have the same shape and the same bytes.
+bool same_bytes(const es::DenseTensor& a, const es::DenseTensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
 }  // namespace
 
 // (kernel, stride, padding, density-mille) sweeps pinning the fast
@@ -457,14 +464,40 @@ TEST_P(KernelParity, DenseConvBothPathsMatchReference) {
   const std::vector<float> bias{0.5f, -0.5f, 0.25f, -0.25f};
 
   const auto ref = es::reference::conv2d(input, w, bias, spec);
-  EXPECT_LT(es::max_abs_diff(evedge::nn::conv2d_direct(input, w, bias, spec),
-                             ref),
-            1e-4f);
-  EXPECT_LT(es::max_abs_diff(evedge::nn::conv2d_gemm(input, w, bias, spec),
-                             ref),
-            1e-4f);
+  const auto direct = evedge::nn::conv2d_direct(input, w, bias, spec);
+  const auto gemm = evedge::nn::conv2d_gemm(input, w, bias, spec);
+  EXPECT_LT(es::max_abs_diff(direct, ref), 1e-4f);
+  EXPECT_LT(es::max_abs_diff(gemm, ref), 1e-4f);
   EXPECT_LT(es::max_abs_diff(evedge::nn::conv2d(input, w, bias, spec), ref),
             1e-4f);
+  // Both paths sum (ic, ky, kx) ascending from the bias: same bytes.
+  EXPECT_TRUE(same_bytes(gemm, direct));
+}
+
+// The GEMM path's row tiles at shapes that span several of them (the
+// column tile holds 2^16 floats): bytewise equal to the direct path.
+TEST(DenseConvTiles, GemmMatchesDirectBitwiseAcrossRowTiles) {
+  for (const es::TensorShape& shape :
+       {es::TensorShape{1, 16, 96, 128}, es::TensorShape{1, 2, 260, 346}}) {
+    const es::Conv2dSpec spec{shape.c, 16, 3, 1, 1};
+    ASSERT_TRUE(evedge::nn::conv2d_uses_gemm(shape, spec));
+    es::DenseTensor input(shape);
+    input.fill_random(61);
+    es::DenseTensor w(es::TensorShape{16, shape.c, 3, 3});
+    w.fill_random(62, 0.3f);
+    std::vector<float> bias(16);
+    for (std::size_t i = 0; i < bias.size(); ++i) {
+      bias[i] = 0.05f * static_cast<float>(i) - 0.4f;
+    }
+    es::Workspace ws;
+    const auto gemm = evedge::nn::conv2d_gemm(input, w, bias, spec, &ws);
+    EXPECT_TRUE(
+        same_bytes(gemm, evedge::nn::conv2d_direct(input, w, bias, spec)))
+        << shape.c << "x" << shape.h << "x" << shape.w;
+    // A reused workspace gives the same bytes again.
+    EXPECT_TRUE(same_bytes(gemm,
+                           evedge::nn::conv2d_gemm(input, w, bias, spec, &ws)));
+  }
 }
 
 TEST_P(KernelParity, SubmanifoldMatchesReference) {
@@ -597,16 +630,27 @@ TEST(ParallelFor, ConvResultsThreadCountInvariant) {
   input.fill_random(5);
   es::DenseTensor w(es::TensorShape{8, 3, 3, 3});
   w.fill_random(6, 0.4f);
+  // A decoder-style transposed conv: 4 phases of 16 rows each.
+  const es::Conv2dSpec tspec{8, 6, 4, 2, 1};
+  es::DenseTensor tinput(es::TensorShape{1, 8, 16, 16});
+  tinput.fill_random(7);
+  es::DenseTensor tw(es::TensorShape{6, 8, 4, 4});
+  tw.fill_random(8, 0.4f);
+  const std::vector<float> tbias{0.1f, -0.2f, 0.3f, -0.4f, 0.5f, -0.6f};
   const char* saved = std::getenv("EVEDGE_THREADS");
   const std::string saved_value = saved != nullptr ? saved : "";
   ASSERT_EQ(setenv("EVEDGE_THREADS", "1", 1), 0);
   const auto serial = evedge::nn::conv2d_gemm(input, w, {}, spec);
+  const auto tserial = evedge::nn::transposed_conv2d(tinput, tw, tbias, tspec);
   for (const char* threads : {"2", "3", "7"}) {
     ASSERT_EQ(setenv("EVEDGE_THREADS", threads, 1), 0);
     EXPECT_EQ(evedge::core::parallel_thread_count(), std::atoi(threads));
     const auto parallel = evedge::nn::conv2d_gemm(input, w, {}, spec);
-    EXPECT_FLOAT_EQ(es::max_abs_diff(parallel, serial), 0.0f)
+    EXPECT_TRUE(same_bytes(parallel, serial))
         << "conv2d_gemm diverged at EVEDGE_THREADS=" << threads;
+    EXPECT_TRUE(same_bytes(
+        evedge::nn::transposed_conv2d(tinput, tw, tbias, tspec), tserial))
+        << "transposed_conv2d diverged at EVEDGE_THREADS=" << threads;
   }
   if (saved != nullptr) {
     setenv("EVEDGE_THREADS", saved_value.c_str(), 1);
