@@ -60,10 +60,11 @@ constexpr ee::TimeUs kDuration = 1'000'000;
 constexpr double kOffBudgetPct = 2.0;  ///< tracing-off overhead ceiling
 
 /// Labeled-metric sites a served frame crosses when metrics are OFF:
-/// the ingress dispatch counter plus the sink's per-stream completed
-/// counter, latency histogram, and burn gauge — each a cached-pointer
-/// null check. 8 is deliberately ~2x the real count, so the gate holds
-/// margin for future sites.
+/// the ingress dispatch counter (a cached-pointer null check) and the
+/// runtime's outcome record, which checks once whether the run has any
+/// registry series and then skips every metric of the outcome. 8 is
+/// deliberately ~4x the real count, so the gate holds margin for future
+/// sites.
 constexpr double kLabeledSitesPerFrame = 8.0;
 
 /// Human tables land here: stdout normally, stderr under --json (stdout
@@ -106,9 +107,9 @@ evedge::obs::Counter* volatile g_labeled_series = nullptr;
 volatile std::uint64_t g_site_sink = 0;
 
 /// ns per disabled labeled-metric site (null cached-series pointer
-/// check — see StreamIngress::attach_dispatch_counter). The loop is a
-/// few instructions long, so its cost doubles when the linker happens
-/// to place it across a 32-byte fetch boundary; the 64-byte function
+/// check — see IngressBase::attach_runtime). The loop is a few
+/// instructions long, so its cost doubles when the linker happens to
+/// place it across a 32-byte fetch boundary; the 64-byte function
 /// alignment pins its placement so the ratio tracks the site, not the
 /// binary's layout.
 [[nodiscard, gnu::aligned(64)]] double labeled_site_ns(std::size_t iters) {

@@ -116,15 +116,6 @@ std::string LabelSet::key() const {
   return out;
 }
 
-std::uint32_t intern_labels(const LabelSet& labels) {
-  static std::mutex mutex;
-  static std::unordered_map<std::string, std::uint32_t> ids;
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto [it, inserted] =
-      ids.emplace(labels.key(), static_cast<std::uint32_t>(ids.size()));
-  return it->second;
-}
-
 // ---------------------------------------------------------- Histogram
 
 Histogram::Histogram(Options options) : options_(options) {

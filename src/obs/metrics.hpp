@@ -10,8 +10,8 @@
 //
 // Labeled families add the per-stream dimension: a LabeledCounter/
 // LabeledGauge/LabeledHistogram is one registry entry fanning out into
-// series keyed by LabelSet (sorted key/value pairs, interned to a
-// stable id). Series creation is a cold path (family mutex); the
+// series keyed by LabelSet (sorted, key-unique key/value pairs).
+// Series creation is a cold path (family mutex); the
 // returned references are stable, so serving code resolves its
 // per-stream series up front and the hot path stays one atomic RMW.
 // Cardinality is hard-capped per family: past max_series distinct
@@ -145,8 +145,8 @@ class LabelSet {
   [[nodiscard]] std::string prometheus(
       const std::vector<Pair>& extra = {}) const;
 
-  /// Canonical flat encoding (unprintable separators) — the interning
-  /// and family-lookup key.
+  /// Canonical flat encoding (unprintable separators) — the
+  /// family-lookup key.
   [[nodiscard]] std::string key() const;
 
   [[nodiscard]] bool operator==(const LabelSet& other) const noexcept {
@@ -156,11 +156,6 @@ class LabelSet {
  private:
   std::vector<Pair> pairs_;
 };
-
-/// Process-wide label-set interner: equal sets map to the same dense
-/// stable id, first touch assigns the next. Cold path (mutex) — each
-/// family stamps its series with the id once at creation.
-[[nodiscard]] std::uint32_t intern_labels(const LabelSet& labels);
 
 /// Prometheus text-format escaping for label values: backslash, double
 /// quote, and newline become \\, \" and \n.
@@ -186,7 +181,6 @@ class LabeledFamily {
  public:
   struct Series {
     LabelSet labels;
-    std::uint32_t label_id = 0;
     std::unique_ptr<Metric> metric;
   };
 
@@ -245,7 +239,7 @@ class LabeledFamily {
  private:
   Metric& emplace_locked(const LabelSet& labels, const std::string& key) {
     index_.emplace(key, series_.size());
-    series_.push_back(Series{labels, intern_labels(labels), make_()});
+    series_.push_back(Series{labels, make_()});
     return *series_.back().metric;
   }
 

@@ -24,18 +24,18 @@ DegradationController::DegradationController(const SloConfig& slo,
   }
 }
 
-void DegradationController::sample(double t_ms) {
+void DegradationController::sample(double t_ms,
+                                   const LatencyReservoir& recent_latency) {
   const std::size_t depth = queue_.depth();
   const double fill =
       static_cast<double>(depth) / static_cast<double>(queue_.capacity());
-  // Latency trigger: active only with a probe attached AND a positive
-  // threshold AND at least a few samples in the window (a single slow
-  // warmup frame must not trip the ladder).
+  // Latency trigger: active only with a positive threshold AND at
+  // least a few samples in the window (a single slow warmup frame must
+  // not trip the ladder).
   const bool latency_on =
-      latency_probe_ != nullptr && slo_.latency_high_ms > 0.0 &&
-      latency_probe_->count() >= 4;
+      slo_.latency_high_ms > 0.0 && recent_latency.count() >= 4;
   const double p99_ms =
-      latency_on ? latency_probe_->percentile_us(0.99) / 1e3 : 0.0;
+      latency_on ? recent_latency.percentile_us(0.99) / 1e3 : 0.0;
   const double latency_low = slo_.latency_low_ms > 0.0
                                  ? slo_.latency_low_ms
                                  : slo_.latency_high_ms / 2.0;

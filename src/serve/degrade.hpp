@@ -39,19 +39,20 @@ inline constexpr int kDegradeDropOldest = 1;
 inline constexpr int kDegradeWideBatch = 2;
 inline constexpr int kDegradeInt8 = 3;
 
-/// Rolling sample window of the latency trigger's completion-p99 probe
-/// (SloConfig::latency_high_ms).
+/// The latency trigger's window (SloConfig::latency_high_ms): the p99
+/// over the run's last kSloLatencyWindow completions, across streams.
 inline constexpr std::size_t kSloLatencyWindow = 128;
-/// SLO burn-rate accounting (active whenever SloConfig::deadline_ms > 0):
-/// every frame outcome is classified good (completed within the
-/// deadline) or bad (missed it, shed, or failed) into a per-stream
-/// rolling window of kSloBurnWindow events, and the burn rate — bad
-/// fraction over the window divided by the error budget
-/// (1 - kSloBurnGoodTarget) — is exported as the
-/// `evedge_slo_burn_rate{stream=...}` gauge and surfaced in
-/// StreamServeStats. 1.0 means the stream consumes its error budget
-/// exactly; above it, the budget exhausts early.
-inline constexpr std::size_t kSloBurnWindow = 256;
+/// SLO burn rate (graded whenever SloConfig::deadline_ms > 0): every
+/// frame outcome except a drop-oldest displacement is graded once —
+/// good when it completed within the deadline, bad when it missed it,
+/// was shed, or failed — and StreamServeStats::burn_rate() reads
+///
+///   slo_bad / (slo_good + slo_bad) / (1 - kSloBurnGoodTarget)
+///
+/// over the run so far (0 before any outcome is graded). It is exported
+/// as the `evedge_slo_burn_rate{stream=...}` gauge, set from the same
+/// method. 1.0 means the stream consumes its error budget exactly; above
+/// it, the budget exhausts early.
 inline constexpr double kSloBurnGoodTarget = 0.99;  ///< in-deadline target
 
 struct SloConfig {
@@ -74,14 +75,14 @@ struct SloConfig {
   int exit_intervals = 8;
   int batch_widen_factor = 2;  ///< level-2 multiplier on max_batch
   bool allow_int8 = false;     ///< level 3 reachable at all
-  /// Latency-driven trigger: when latency_high_ms > 0 AND a
-  /// RollingLatency probe is attached, a sustained rolling completion
-  /// p99 >= latency_high_ms escalates exactly like a sustained high
-  /// queue watermark — so a worker stall that inflates tail latency
-  /// WITHOUT queue growth (e.g. every stream paced well below
-  /// capacity) still walks the ladder. Recovery then additionally
-  /// requires p99 <= latency_low_ms: a drained queue with a still-hot
-  /// tail stays degraded.
+  /// Latency-driven trigger, armed when degrade is set and
+  /// latency_high_ms > 0: a sustained p99 >= latency_high_ms over the
+  /// run's last kSloLatencyWindow completions escalates exactly like a
+  /// sustained high queue watermark — so a worker stall that inflates
+  /// tail latency WITHOUT queue growth (e.g. every stream paced well
+  /// below capacity) still walks the ladder. Inert below 4 completions.
+  /// Recovery then additionally requires p99 <= latency_low_ms: a
+  /// drained queue with a still-hot tail stays degraded.
   double latency_high_ms = 0.0;  ///< 0 = latency trigger off
   double latency_low_ms = 0.0;   ///< recovery bound (0 = high/2)
 
@@ -119,13 +120,6 @@ class DegradationController {
   DegradationController(const SloConfig& slo, FrameQueue& queue,
                         DegradationState& state);
 
-  /// Attaches the rolling completion-latency probe feeding the
-  /// latency trigger (nullptr detaches; must outlive the controller).
-  /// Without a probe the trigger is inert regardless of SloConfig.
-  void set_latency_probe(const RollingLatency* probe) noexcept {
-    latency_probe_ = probe;
-  }
-
   /// Observer invoked (on the monitor thread) for every transition —
   /// the fault journal hooks in here.
   void set_transition_hook(
@@ -134,9 +128,11 @@ class DegradationController {
   }
 
   /// One monitor tick at `t_ms` since run start: samples queue fill
-  /// (and the latency probe when attached), updates the hysteresis
-  /// counters, walks at most one rung.
-  void sample(double t_ms);
+  /// and, with latency_high_ms > 0, the p99 of `recent_latency` (the
+  /// caller's copy of the latest completions; the trigger is inert
+  /// below 4 samples), updates the hysteresis counters, walks at most
+  /// one rung.
+  void sample(double t_ms, const LatencyReservoir& recent_latency = {});
 
   /// Closes the level-time accounting at end of run.
   void finish(double t_ms);
@@ -158,7 +154,6 @@ class DegradationController {
   SloConfig slo_;
   FrameQueue& queue_;
   DegradationState& state_;
-  const RollingLatency* latency_probe_ = nullptr;
   std::function<void(const DegradationTransition&)> on_transition_;
   OverflowPolicy base_policy_;
   int above_ = 0;  ///< consecutive samples at/above the high watermark

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "serve/degrade.hpp"
+
 namespace evedge::serve {
 
 const char* to_string(FrameFault fault) noexcept {
@@ -47,6 +49,15 @@ double LatencyReservoir::percentile_us(double q) const {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+LatencyReservoir LatencyReservoir::recent(std::size_t n) const {
+  LatencyReservoir window;
+  const std::size_t keep = std::min(n, samples_us_.size());
+  window.samples_us_.assign(
+      samples_us_.end() - static_cast<std::ptrdiff_t>(keep),
+      samples_us_.end());
+  return window;
+}
+
 double LatencyReservoir::fraction_below_us(double us) const noexcept {
   if (samples_us_.empty()) return 0.0;
   std::size_t below = 0;
@@ -57,19 +68,11 @@ double LatencyReservoir::fraction_below_us(double us) const noexcept {
          static_cast<double>(samples_us_.size());
 }
 
-double RollingLatency::percentile_us(double q) const {
-  std::vector<double> sorted;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (size_ == 0) return 0.0;
-    sorted.assign(ring_.begin(),
-                  ring_.begin() + static_cast<std::ptrdiff_t>(size_));
-  }
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      clamped * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
+double StreamServeStats::burn_rate() const noexcept {
+  const std::size_t graded = slo_good + slo_bad;
+  if (graded == 0) return 0.0;
+  return static_cast<double>(slo_bad) / static_cast<double>(graded) /
+         (1.0 - kSloBurnGoodTarget);
 }
 
 double ServeReport::percentile_us(double q) const {
@@ -165,7 +168,7 @@ std::string ServeReport::describe() const {
     if (s.slo_good + s.slo_bad > 0) {
       std::snprintf(line, sizeof(line),
                     "    slo: %zu good, %zu bad, burn rate %.2f\n",
-                    s.slo_good, s.slo_bad, s.burn_rate);
+                    s.slo_good, s.slo_bad, s.burn_rate());
       out += line;
     }
   }

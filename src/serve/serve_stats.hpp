@@ -4,8 +4,15 @@
 // the aggregate report the ServingRuntime hands back after a run. The
 // quantities mirror what a production inference server exports — tail
 // latency percentiles per stream, aggregate frames/s, queue depth, drop
-// and failure counters, degradation transitions — so the bench harness
-// and tests read one structure.
+// and failure counters, SLO burn, degradation transitions — so the bench
+// harness and tests read one structure.
+//
+// Each frame outcome (a completion with its latency, a shed frame, or a
+// frame failed at a worker or at ingress) is recorded once, into the
+// stream's StreamServeStats, by the runtime's one record function; the
+// same call mirrors it into the metrics registry. The report, the
+// Prometheus scrape, the burn rate and the latency trigger all read that
+// record.
 //
 // Frame accounting is a hard contract: for every stream,
 //
@@ -34,7 +41,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,6 +80,12 @@ struct QuarantinedFrame {
   int attempts = 0;  ///< inference attempts consumed before quarantine
 };
 
+/// Called once per frame that leaves the pipeline without a result:
+/// rejected at ingress admission, shed past its deadline, or out of
+/// worker retries. Called from ingress and worker threads at once —
+/// implementations must be thread-safe.
+using FailureSink = std::function<void(const QuarantinedFrame&)>;
+
 /// One step of the graceful-degradation ladder (see degrade.hpp).
 struct DegradationTransition {
   double t_ms = 0.0;  ///< since run start
@@ -100,9 +113,10 @@ struct FaultInjectionCounts {
   }
 };
 
-/// Latency sample reservoir (microseconds). Percentiles are computed on
-/// demand over a sorted copy; serving runs are bounded (thousands of
-/// frames), so keeping every sample exact beats a sketch here.
+/// Latency sample reservoir (microseconds), in arrival order.
+/// Percentiles are computed on demand over a sorted copy; serving runs
+/// are bounded (thousands of frames), so keeping every sample exact
+/// beats a sketch here.
 class LatencyReservoir {
  public:
   void add(double latency_us) { samples_us_.push_back(latency_us); }
@@ -113,107 +127,18 @@ class LatencyReservoir {
   }
   [[nodiscard]] double mean_us() const noexcept;
   [[nodiscard]] double max_us() const noexcept;
-  /// Interpolation-free percentile (nearest-rank on the sorted samples);
-  /// q in [0, 1]. 0 when empty.
+  /// The sample at index round(q·(n−1)) of the n samples sorted
+  /// ascending — no interpolation; q is clamped to [0, 1]. 0 when empty.
   [[nodiscard]] double percentile_us(double q) const;
+  /// The most recent `n` samples (all of them when n >= count()), in
+  /// arrival order: a window whose percentile_us() applies the same
+  /// rank rule to just those samples.
+  [[nodiscard]] LatencyReservoir recent(std::size_t n) const;
   /// Fraction of samples <= `us` (the SLO on-time ratio); 0 when empty.
   [[nodiscard]] double fraction_below_us(double us) const noexcept;
 
  private:
   std::vector<double> samples_us_;
-};
-
-/// Thread-safe rolling window over the most recent latency samples —
-/// the live probe behind the latency-driven degradation trigger.
-/// Workers add() from the completion path; the monitor thread reads
-/// percentile_us() each tick. Unlike LatencyReservoir this forgets:
-/// the window holds the last `capacity` samples only, so a recovered
-/// system's p99 actually comes back down.
-class RollingLatency {
- public:
-  explicit RollingLatency(std::size_t capacity = 256)
-      : ring_(capacity > 0 ? capacity : 1) {}
-
-  void add(double latency_us) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ring_[next_] = latency_us;
-    next_ = (next_ + 1) % ring_.size();
-    if (size_ < ring_.size()) ++size_;
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return size_;
-  }
-
-  /// Nearest-rank percentile over the current window; 0 when empty.
-  [[nodiscard]] double percentile_us(double q) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<double> ring_;
-  std::size_t size_ = 0;
-  std::size_t next_ = 0;
-};
-
-/// Rolling good/bad event window behind the per-stream SLO burn rate.
-/// Every frame outcome is one event: good when it completed within the
-/// deadline, bad when it missed it, was shed, or failed. burn_rate() is
-/// the window's bad fraction divided by the error budget
-/// (1 - good_target) — the standard multiplicative burn reading: 1.0
-/// consumes the budget exactly, above it the budget exhausts early.
-/// Not internally synchronized; the runtime updates it under the
-/// result-sink mutex.
-class BurnRateWindow {
- public:
-  explicit BurnRateWindow(std::size_t capacity = 256,
-                          double good_target = 0.99)
-      : ring_(capacity > 0 ? capacity : 1),
-        budget_(good_target < 1.0 ? 1.0 - good_target : 0.0) {}
-
-  void add(bool good) {
-    if (size_ == ring_.size()) {
-      window_bad_ -= ring_[next_];
-    } else {
-      ++size_;
-    }
-    ring_[next_] = good ? 0 : 1;
-    window_bad_ += ring_[next_];
-    next_ = (next_ + 1) % ring_.size();
-    if (good) {
-      ++total_good_;
-    } else {
-      ++total_bad_;
-    }
-  }
-
-  [[nodiscard]] std::size_t good() const noexcept { return total_good_; }
-  [[nodiscard]] std::size_t bad() const noexcept { return total_bad_; }
-
-  /// Bad fraction over the current window; 0 when empty.
-  [[nodiscard]] double bad_fraction() const noexcept {
-    return size_ == 0 ? 0.0
-                      : static_cast<double>(window_bad_) /
-                            static_cast<double>(size_);
-  }
-
-  /// bad_fraction() / (1 - good_target). With a zero error budget any
-  /// bad event reads as infinite burn; that is represented as the bad
-  /// count itself scaled arbitrarily high (1e9) to stay finite.
-  [[nodiscard]] double burn_rate() const noexcept {
-    const double bad = bad_fraction();
-    if (budget_ <= 0.0) return bad > 0.0 ? 1e9 : 0.0;
-    return bad / budget_;
-  }
-
- private:
-  std::vector<std::uint8_t> ring_;
-  double budget_;
-  std::size_t size_ = 0;
-  std::size_t next_ = 0;
-  std::size_t window_bad_ = 0;
-  std::size_t total_good_ = 0;
-  std::size_t total_bad_ = 0;
 };
 
 /// Per-stream serving statistics.
@@ -230,14 +155,19 @@ struct StreamServeStats {
   double mean_frame_density = 0.0;  ///< mean merged-frame spatial density
   LatencyReservoir latency;     ///< enqueue -> inference completion
 
-  // SLO burn-rate accounting (all zero unless SloConfig::deadline_ms >
-  // 0 for the run; see BurnRateWindow). slo_good/slo_bad are run
-  // totals, burn_rate the rolling-window value at end of run —
-  // deliberately NOT part of accounting_ok(): they grade outcomes the
-  // frame ledger already conserves.
+  // SLO grading (both zero unless SloConfig::deadline_ms > 0 for the
+  // run): every outcome except a drop-oldest displacement is graded
+  // once, when it is recorded, so slo_good + slo_bad == completed + shed
+  // + failed. Deliberately NOT part of accounting_ok(): they grade
+  // outcomes the frame ledger already conserves.
   std::size_t slo_good = 0;  ///< completions within the deadline
   std::size_t slo_bad = 0;   ///< deadline misses + shed + failed
-  double burn_rate = 0.0;    ///< final rolling-window burn rate
+
+  /// SLO burn rate over the run so far: the bad fraction of graded
+  /// outcomes divided by the error budget (1 - kSloBurnGoodTarget). 1.0
+  /// consumes the budget exactly; above it the budget exhausts early.
+  /// 0 when nothing was graded.
+  [[nodiscard]] double burn_rate() const noexcept;
 
   // Wire-ingress packet lanes (all zero for in-process ingress; see the
   // packet-partition contract at the top of this header).
@@ -321,8 +251,8 @@ struct ServeReport {
   /// Per-worker per-layer execution profiles (empty unless
   /// ObsConfig::layer_profiles was on for the run).
   std::vector<WorkerLayerProfile> layer_profiles;
-  /// Every quarantined frame, in discovery order (ingress first, then
-  /// worker-side, interleaved by completion time).
+  /// Every quarantined frame — rejected at ingress, shed, or out of
+  /// worker retries — in the order the runtime recorded them.
   std::vector<QuarantinedFrame> quarantined;
   /// Degradation-ladder activity (empty when SLO degradation is off).
   std::vector<DegradationTransition> degradation;

@@ -1,7 +1,6 @@
 #include "serve/serving_runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -81,6 +80,149 @@ class ScopedKernelThreads {
   int previous_;
 };
 
+/// One set of outcome series in the registry: the unlabeled run totals,
+/// or one stream's labeled ones.
+struct OutcomeSeries {
+  obs::Counter* completed = nullptr;
+  obs::Counter* shed = nullptr;
+  obs::Counter* failed = nullptr;
+  obs::Histogram* latency = nullptr;
+
+  void count(FrameFault fault, double latency_us) const {
+    if (fault == FrameFault::kNone) {
+      completed->add();
+      latency->observe(latency_us);
+    } else if (is_shed_fault(fault)) {
+      shed->add();
+    } else {
+      failed->add();
+    }
+  }
+};
+
+/// One stream's registry series, resolved once per run.
+struct StreamSeries {
+  OutcomeSeries outcomes;
+  obs::Counter* enqueued = nullptr;
+  obs::Counter* dropped = nullptr;
+  obs::Gauge* burn = nullptr;
+};
+
+/// The run's outcome record: one StreamServeStats per stream, plus the
+/// run-wide completion latencies while the latency trigger is armed.
+/// record() is its one writer, and in the same call it mirrors the
+/// outcome into the registry from the same values, so the report, the
+/// scrape, the burn gauge, the trace counter and the latency trigger
+/// all read one source. Not synchronized itself: every call runs under
+/// the runtime's sink mutex, except the assembly-time reads after all
+/// threads joined.
+class OutcomeRecord {
+ public:
+  OutcomeRecord(std::size_t streams, const SloConfig& slo, bool metrics)
+      : deadline_us_(slo.deadline_ms * 1e3),
+        keep_completions_(slo.degrade && slo.latency_high_ms > 0.0),
+        streams_(streams) {
+    if (!metrics) return;
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    total_.completed = &registry.counter("evedge_frames_completed_total",
+                                         "Frames through inference");
+    total_.shed = &registry.counter("evedge_frames_shed_total",
+                                    "SLO-stale frames shed before inference");
+    total_.failed =
+        &registry.counter("evedge_frames_failed_total", "Frames quarantined");
+    total_.latency = &registry.histogram(
+        "evedge_completion_latency_us", obs::Histogram::Options{},
+        "Enqueue-to-completion latency (us)");
+    obs::LabeledCounter& enqueued = registry.labeled_counter(
+        "evedge_stream_frames_enqueued_total",
+        "Merged frames dispatched by ingress, per stream");
+    obs::LabeledCounter& frames = registry.labeled_counter(
+        "evedge_stream_frames_total",
+        "Frame outcomes by stream and outcome class");
+    obs::LabeledHistogram& latency = registry.labeled_histogram(
+        "evedge_stream_latency_us", obs::Histogram::Options{},
+        "Enqueue-to-completion latency (us), per stream");
+    obs::LabeledGauge& burn = registry.labeled_gauge(
+        "evedge_slo_burn_rate",
+        "SLO burn rate per stream over the run (1.0 = error budget "
+        "consumed exactly)");
+    for (std::size_t i = 0; i < streams; ++i) {
+      const std::string id = std::to_string(i);
+      const auto outcome = [&](const char* name) {
+        return &frames.at({{"stream", id}, {"outcome", name}});
+      };
+      series_.push_back(StreamSeries{
+          {outcome("completed"), outcome("shed"), outcome("failed"),
+           &latency.at({{"stream", id}})},
+          &enqueued.at({{"stream", id}}),
+          outcome("dropped"),
+          &burn.at({{"stream", id}})});
+    }
+  }
+
+  /// Records one frame outcome of `stream_id`: a completion (`fault`
+  /// kNone) with its latency, a shed frame, or a failed one (at a
+  /// worker or at ingress). Grades it against the deadline when one is
+  /// set. The caller holds the sink mutex.
+  void record(int stream_id, FrameFault fault, double latency_us) {
+    const auto si = static_cast<std::size_t>(stream_id);
+    StreamServeStats& s = streams_[si];
+    const bool completed = fault == FrameFault::kNone;
+    if (completed) {
+      ++s.completed;
+      s.latency.add(latency_us);
+      if (keep_completions_) completions_.add(latency_us);
+      obs::Tracer::counter("serve", "frames.completed", ++completed_);
+    } else if (is_shed_fault(fault)) {
+      ++s.shed;
+    } else {
+      ++s.failed;
+    }
+    if (deadline_us_ > 0.0) {
+      if (completed && latency_us <= deadline_us_) {
+        ++s.slo_good;
+      } else {
+        ++s.slo_bad;
+      }
+    }
+    if (series_.empty()) return;  // metrics off
+    const StreamSeries& m = series_[si];
+    total_.count(fault, latency_us);
+    m.outcomes.count(fault, latency_us);
+    if (deadline_us_ > 0.0) m.burn->set(s.burn_rate());
+  }
+
+  [[nodiscard]] const StreamServeStats& stream(std::size_t i) const {
+    return streams_[i];
+  }
+  /// Stream i's dispatch counter (nullptr when metrics are off).
+  [[nodiscard]] obs::Counter* enqueued_series(std::size_t i) const {
+    return series_.empty() ? nullptr : series_[i].enqueued;
+  }
+  /// The latency trigger's window: the run's last kSloLatencyWindow
+  /// completions, across streams. The caller holds the sink mutex.
+  [[nodiscard]] LatencyReservoir latency_window() const {
+    return completions_.recent(kSloLatencyWindow);
+  }
+  /// Report assembly: exports stream i's drop residual, and sets its
+  /// burn gauge for the last time, so the final scrape equals the
+  /// report.
+  void publish_final(std::size_t i, std::size_t dropped) const {
+    if (series_.empty()) return;
+    series_[i].dropped->add(dropped);
+    if (deadline_us_ > 0.0) series_[i].burn->set(streams_[i].burn_rate());
+  }
+
+ private:
+  double deadline_us_;     ///< 0 = no SLO grading
+  bool keep_completions_;  ///< latency trigger armed
+  std::vector<StreamServeStats> streams_;
+  LatencyReservoir completions_;  ///< run-wide, in completion order
+  std::int64_t completed_ = 0;    ///< run-wide completions
+  OutcomeSeries total_;
+  std::vector<StreamSeries> series_;  ///< empty = metrics off
+};
+
 }  // namespace
 
 ServingRuntime::ServingRuntime(nn::NetworkSpec spec, std::uint64_t seed,
@@ -122,20 +264,6 @@ ServeReport ServingRuntime::run(
     ingresses.emplace_back(static_cast<int>(i), streams[i],
                            config_.ingress, queue);
     if (inject) ingresses.back().attach_faults(&injector);
-    if (journal.has_value()) ingresses.back().attach_journal(&*journal);
-  }
-  if (config_.obs.metrics) {
-    // Per-stream dispatch counters, resolved here where the concrete
-    // ingress type is known; the ingress hot path pays one null check
-    // when metrics are off.
-    obs::LabeledCounter& enq =
-        obs::MetricsRegistry::global().labeled_counter(
-            "evedge_stream_frames_enqueued_total",
-            "Merged frames dispatched by ingress, per stream");
-    for (std::size_t i = 0; i < ingresses.size(); ++i) {
-      ingresses[i].attach_dispatch_counter(
-          &enq.at(obs::LabelSet{{"stream", std::to_string(i)}}));
-    }
   }
   std::vector<IngressBase*> bases;
   bases.reserve(ingresses.size());
@@ -161,17 +289,6 @@ ServeReport ServingRuntime::run_wire(
   for (std::size_t i = 0; i < acceptors.size(); ++i) {
     ingresses.emplace_back(static_cast<int>(i), config_.ingress,
                            wire_config, queue, acceptors[i]);
-    if (journal.has_value()) ingresses.back().attach_journal(&*journal);
-  }
-  if (config_.obs.metrics) {
-    obs::LabeledCounter& enq =
-        obs::MetricsRegistry::global().labeled_counter(
-            "evedge_stream_frames_enqueued_total",
-            "Merged frames dispatched by ingress, per stream");
-    for (std::size_t i = 0; i < ingresses.size(); ++i) {
-      ingresses[i].attach_dispatch_counter(
-          &enq.at(obs::LabelSet{{"stream", std::to_string(i)}}));
-    }
   }
   std::vector<IngressBase*> bases;
   bases.reserve(ingresses.size());
@@ -192,139 +309,60 @@ ServeReport ServingRuntime::serve_ingresses(
   const ScopedTracing tracing_guard(obs_config);
   const bool tracing = obs_config.trace || obs_config.trace_nodes;
 
-  // Live metrics: registration happens once up front; the hot paths
-  // below use the cached pointers (nullptr = metrics off).
-  obs::Counter* m_completed = nullptr;
-  obs::Counter* m_shed = nullptr;
-  obs::Counter* m_failed = nullptr;
-  obs::Histogram* m_latency = nullptr;
+  // Run-level gauges, sampled by the snapshotter and the ladder hook
+  // (nullptr = metrics off).
   obs::Gauge* g_queue_depth = nullptr;
   obs::Gauge* g_degrade_level = nullptr;
   obs::Gauge* g_queue_dropped = nullptr;
-  // Per-stream labeled series, indexed by stream id. Series creation is
-  // the cold path (family mutex); the sinks below touch these cached
-  // pointers only, so the metrics-off cost stays one null check.
-  std::vector<obs::Counter*> m_s_completed;
-  std::vector<obs::Counter*> m_s_shed;
-  std::vector<obs::Counter*> m_s_failed;
-  std::vector<obs::Counter*> m_s_dropped;
-  std::vector<obs::Histogram*> m_s_latency;
-  std::vector<obs::Gauge*> g_burn;
   if (obs_config.metrics) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    m_completed = &registry.counter("evedge_frames_completed_total",
-                                    "Frames through inference");
-    m_shed = &registry.counter("evedge_frames_shed_total",
-                               "SLO-stale frames shed before inference");
-    m_failed = &registry.counter("evedge_frames_failed_total",
-                                 "Frames quarantined");
-    m_latency = &registry.histogram(
-        "evedge_completion_latency_us", obs::Histogram::Options{},
-        "Enqueue-to-completion latency (us)");
     g_queue_depth = &registry.gauge("evedge_queue_depth",
                                     "Live frame queue depth");
     g_degrade_level = &registry.gauge("evedge_degrade_level",
                                       "Current degradation ladder level");
     g_queue_dropped = &registry.gauge(
         "evedge_queue_dropped", "Frames displaced by drop-oldest so far");
-    obs::LabeledCounter& frames = registry.labeled_counter(
-        "evedge_stream_frames_total",
-        "Frame outcomes by stream and outcome class");
-    obs::LabeledHistogram& latency = registry.labeled_histogram(
-        "evedge_stream_latency_us", obs::Histogram::Options{},
-        "Enqueue-to-completion latency (us), per stream");
-    obs::LabeledGauge& burn_rate = registry.labeled_gauge(
-        "evedge_slo_burn_rate",
-        "Rolling SLO burn rate per stream (1.0 = error budget consumed "
-        "exactly)");
-    for (std::size_t i = 0; i < ingresses.size(); ++i) {
-      const std::string id = std::to_string(i);
-      m_s_completed.push_back(
-          &frames.at({{"stream", id}, {"outcome", "completed"}}));
-      m_s_shed.push_back(&frames.at({{"stream", id}, {"outcome", "shed"}}));
-      m_s_failed.push_back(
-          &frames.at({{"stream", id}, {"outcome", "failed"}}));
-      m_s_dropped.push_back(
-          &frames.at({{"stream", id}, {"outcome", "dropped"}}));
-      m_s_latency.push_back(&latency.at({{"stream", id}}));
-      g_burn.push_back(&burn_rate.at({{"stream", id}}));
-    }
-  }
-  std::atomic<std::int64_t> completed_total{0};
-
-  // Per-stream SLO burn-rate windows (good = completed within the
-  // deadline; bad = missed it, shed, or worker-failed), updated under
-  // the sink mutex. Armed whenever a deadline is configured.
-  const bool slo_burn = config_.slo.deadline_ms > 0.0;
-  std::vector<BurnRateWindow> burn;
-  if (slo_burn) {
-    burn.resize(ingresses.size(),
-                BurnRateWindow(kSloBurnWindow, kSloBurnGoodTarget));
   }
 
-  // Completion-side accounting, shared by every worker thread.
+  // Every frame outcome goes through outcomes.record() under this
+  // mutex, which also guards the capture map and the quarantine list.
   std::mutex sink_mutex;
-  std::vector<StreamServeStats> completion(ingresses.size());
-  std::vector<QuarantinedFrame> worker_quarantine;
+  OutcomeRecord outcomes(ingresses.size(), config_.slo, obs_config.metrics);
   const bool capture = config_.capture_outputs;
-  // Rolling completion-latency probe: only materialized when the
-  // latency-driven degradation trigger is armed (it is the only
-  // consumer and costs a mutex op per completion).
-  std::optional<RollingLatency> latency_probe;
-  if (config_.slo.degrade && config_.slo.latency_high_ms > 0.0) {
-    latency_probe.emplace(kSloLatencyWindow);
-  }
   const ResultSink sink = [&](const ReadyFrame& frame,
                               const DenseTensor& batch_output, int lane,
                               double latency_us) {
     // Lineage: the "frame.capture" hop covers the result hand-off —
-    // output copy, metric updates, and the locked accounting below.
+    // output copy and the locked record below.
     const std::uint64_t cap0 =
         obs::Tracer::enabled() ? obs::now_ns() : 0;
     // The output copy happens outside the lock (each (stream, seq) key
-    // is produced exactly once, so only the shared accounting and the
-    // map mutation need the mutex).
+    // is produced exactly once, so only the record and the map
+    // mutation need the mutex).
     DenseTensor output;
     if (capture) sparse::copy_sample(batch_output, lane, output);
-    if (latency_probe.has_value()) latency_probe->add(latency_us);
-    const auto si = static_cast<std::size_t>(frame.stream_id);
-    if (m_completed != nullptr) {
-      m_completed->add();
-      m_latency->observe(latency_us);
-      m_s_completed[si]->add();
-      m_s_latency[si]->observe(latency_us);
-    }
-    obs::Tracer::counter(
-        "serve", "frames.completed",
-        completed_total.fetch_add(1, std::memory_order_relaxed) + 1);
-    double burn_now = -1.0;
     {
       const std::lock_guard<std::mutex> lock(sink_mutex);
-      StreamServeStats& s = completion[si];
-      ++s.completed;
-      s.latency.add(latency_us);
-      if (slo_burn) {
-        const bool good = latency_us <= config_.slo.deadline_ms * 1e3;
-        burn[si].add(good);
-        if (good) {
-          ++s.slo_good;
-        } else {
-          ++s.slo_bad;
-        }
-        burn_now = burn[si].burn_rate();
-      }
+      outcomes.record(frame.stream_id, FrameFault::kNone, latency_us);
       if (capture) {
         captured_[capture_key(frame.stream_id, frame.seq)] =
             std::move(output);
       }
     }
-    if (burn_now >= 0.0 && !g_burn.empty()) g_burn[si]->set(burn_now);
     if (cap0 != 0) {
       obs::Tracer::span("serve", "frame.capture", cap0, obs::now_ns(),
                         "stream", frame.stream_id, "seq", frame.seq);
     }
   };
-  const FailureSink failure = [&](const QuarantinedFrame& q) {
+  // A frame leaving without a result, from an ingress (admission
+  // reject) or a worker (shed, retries spent): recorded and listed in
+  // one locked step.
+  const FailureSink quarantine = [&](const QuarantinedFrame& q) {
+    const std::lock_guard<std::mutex> lock(sink_mutex);
+    outcomes.record(q.stream_id, q.fault, 0.0);
+    report_.quarantined.push_back(q);
+  };
+  const FailureSink worker_failure = [&](const QuarantinedFrame& q) {
     if (journal != nullptr) {
       journal->append("quarantine",
                       "stream=" + std::to_string(q.stream_id) +
@@ -333,45 +371,23 @@ ServeReport ServingRuntime::serve_ingresses(
                           " action=" +
                           (is_shed_fault(q.fault) ? "shed" : "worker-reject"));
     }
-    const auto si = static_cast<std::size_t>(q.stream_id);
-    if (is_shed_fault(q.fault)) {
-      if (m_shed != nullptr) {
-        m_shed->add();
-        m_s_shed[si]->add();
-      }
-    } else {
-      if (m_failed != nullptr) {
-        m_failed->add();
-        m_s_failed[si]->add();
-      }
+    if (!is_shed_fault(q.fault)) {
       obs::Tracer::instant("serve", "frame.quarantine", "stream",
                            q.stream_id, "seq", q.seq);
     }
-    double burn_now = -1.0;
-    {
-      const std::lock_guard<std::mutex> lock(sink_mutex);
-      StreamServeStats& s = completion[si];
-      if (is_shed_fault(q.fault)) {
-        ++s.shed;
-      } else {
-        ++s.failed;
-      }
-      if (slo_burn) {
-        burn[si].add(false);
-        ++s.slo_bad;
-        burn_now = burn[si].burn_rate();
-      }
-      worker_quarantine.push_back(q);
-    }
-    if (burn_now >= 0.0 && !g_burn.empty()) g_burn[si]->set(burn_now);
+    quarantine(q);
   };
+  for (std::size_t i = 0; i < ingresses.size(); ++i) {
+    ingresses[i]->attach_runtime(quarantine, outcomes.enqueued_series(i),
+                                 journal);
+  }
 
   ServeWorkerPool pool(prototype_, config_.n_workers, config_.worker);
   const ScopedKernelThreads kernel_guard(config_.kernel_threads);
 
   ServeHooks hooks;
   hooks.result = sink;
-  hooks.failure = failure;
+  hooks.failure = worker_failure;
   hooks.faults = injector;
   hooks.slo = config_.slo;
   DegradationState degrade_state;
@@ -379,9 +395,6 @@ ServeReport ServingRuntime::serve_ingresses(
   if (config_.slo.degrade) {
     controller.emplace(config_.slo, queue, degrade_state);
     hooks.degrade = &degrade_state;
-    if (latency_probe.has_value()) {
-      controller->set_latency_probe(&*latency_probe);
-    }
     if (journal != nullptr || tracing || obs_config.metrics) {
       controller->set_transition_hook(
           [journal, g_degrade_level](const DegradationTransition& t) {
@@ -437,8 +450,10 @@ ServeReport ServingRuntime::serve_ingresses(
         .count();
   };
 
-  // Overload monitor: samples queue fill on its own thread and walks
-  // the degradation ladder (hysteresis in the controller).
+  // Overload monitor: samples queue fill (and, with the latency
+  // trigger armed, a copy of the record's latest completions) on its
+  // own thread and walks the degradation ladder (hysteresis in the
+  // controller).
   std::mutex monitor_mutex;
   std::condition_variable monitor_cv;
   bool monitor_stop = false;
@@ -454,7 +469,12 @@ ServeReport ServingRuntime::serve_ingresses(
           break;
         }
         lock.unlock();
-        controller->sample(since_start_ms());
+        LatencyReservoir window;
+        if (config_.slo.latency_high_ms > 0.0) {
+          const std::lock_guard<std::mutex> sink_lock(sink_mutex);
+          window = outcomes.latency_window();
+        }
+        controller->sample(since_start_ms(), window);
         lock.lock();
       }
     });
@@ -518,21 +538,13 @@ ServeReport ServingRuntime::serve_ingresses(
   std::size_t residual_drops = 0;
   for (std::size_t i = 0; i < ingresses.size(); ++i) {
     StreamServeStats s = ingresses[i]->stats();
-    const StreamServeStats& done = completion[i];
-    if (m_failed != nullptr) {
-      // Ingress quarantines never reach the failure sink; count them
-      // here so the scraped outcomes sum to the scraped enqueued count,
-      // as the report's do.
-      m_failed->add(s.failed);
-      m_s_failed[i]->add(s.failed);
-    }
+    const StreamServeStats& done = outcomes.stream(i);
     s.completed = done.completed;
     s.shed = done.shed;
-    s.failed += done.failed;  // ingress quarantine + worker quarantine
+    s.failed = done.failed;
     s.latency = done.latency;
     s.slo_good = done.slo_good;
     s.slo_bad = done.slo_bad;
-    if (i < burn.size()) s.burn_rate = burn[i].burn_rate();
     // Per-stream drops reconcile as the residual once the queue drained:
     // every enqueued frame was served, shed, quarantined, or displaced
     // by drop-oldest. A negative residual is an accounting bug (frames
@@ -544,7 +556,7 @@ ServeReport ServingRuntime::serve_ingresses(
       s.dropped = 0;
       report_.accounting_valid = false;
     }
-    if (!m_s_dropped.empty()) m_s_dropped[i]->add(s.dropped);
+    outcomes.publish_final(i, s.dropped);
     residual_drops += s.dropped;
     report_.frames_completed += s.completed;
     report_.frames_dropped += s.dropped;
@@ -557,9 +569,6 @@ ServeReport ServingRuntime::serve_ingresses(
     report_.wire_rewinds += s.wire_rewinds;
     report_.wire_resyncs += s.wire_resyncs;
     report_.wire_reconnects += s.wire_reconnects;
-    for (const QuarantinedFrame& q : ingresses[i]->quarantined()) {
-      report_.quarantined.push_back(q);
-    }
     report_.streams.push_back(std::move(s));
   }
   // Cross-check the residual against the queue's own displacement
@@ -567,9 +576,6 @@ ServeReport ServingRuntime::serve_ingresses(
   if (residual_drops != queue.dropped()) {
     report_.accounting_valid = false;
   }
-  report_.quarantined.insert(report_.quarantined.end(),
-                             worker_quarantine.begin(),
-                             worker_quarantine.end());
   report_.workers.reserve(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     report_.workers.push_back(pool.worker(i).stats());
@@ -613,7 +619,7 @@ ServeReport ServingRuntime::serve_ingresses(
   }
   if (injector != nullptr) report_.faults = injector->counts();
   // Stopped only now, so the final snapshot on disk carries what report
-  // assembly added to the registry (ingress quarantines, drops, layer
+  // assembly added to the registry (drops, final burn gauges, layer
   // gauges).
   if (snapshotter.has_value()) snapshotter->stop();
   return report_;

@@ -78,22 +78,51 @@ FrameFault frame_fault_of(const sparse::SparseFrame& frame, int height,
   return channel_fault(frame.negative(), height, width);
 }
 
-StreamIngress::StreamIngress(int stream_id,
-                             const events::EventStream& stream,
-                             IngressConfig config, FrameQueue& queue)
-    : stream_id_(stream_id),
-      stream_(stream),
-      config_(std::move(config)),
-      queue_(queue) {
+IngressBase::IngressBase(int stream_id) : stream_id_(stream_id) {
   stats_.stream_id = stream_id;
 }
 
-void StreamIngress::mark_failed(std::string reason) {
+void IngressBase::mark_failed(std::string reason) {
   stats_.ingress_failed = true;
   if (stats_.failure_reason.empty()) {
     stats_.failure_reason = std::move(reason);
   }
 }
+
+void IngressBase::attach_runtime(FailureSink quarantine,
+                                 obs::Counter* dispatched,
+                                 FaultJournal* journal) {
+  on_quarantine_ = std::move(quarantine);
+  dispatch_counter_ = dispatched;
+  journal_ = journal;
+}
+
+void IngressBase::count_dispatch() {
+  ++stats_.enqueued;
+  if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+}
+
+void IngressBase::reject(std::int64_t seq, FrameFault fault,
+                         const char* action) {
+  if (journal_ != nullptr) {
+    journal_->append("quarantine", "stream=" + std::to_string(stream_id_) +
+                                       " seq=" + std::to_string(seq) +
+                                       " fault=" + to_string(fault) +
+                                       " action=" + action);
+  }
+  if (on_quarantine_) {
+    on_quarantine_(QuarantinedFrame{stream_id_, seq, fault, 0});
+  }
+  count_dispatch();
+}
+
+StreamIngress::StreamIngress(int stream_id,
+                             const events::EventStream& stream,
+                             IngressConfig config, FrameQueue& queue)
+    : IngressBase(stream_id),
+      stream_(stream),
+      config_(std::move(config)),
+      queue_(queue) {}
 
 void StreamIngress::run() {
   core::DynamicSparseFrameAggregator dsfa(config_.dsfa);
@@ -161,19 +190,7 @@ void StreamIngress::run() {
            // Costs one pass over the frame's entries.
            const FrameFault fault = frame_fault_of(frame, height, width);
            if (fault != FrameFault::kNone) {
-             quarantined_.push_back(
-                 QuarantinedFrame{stream_id_, seq, fault, 0});
-             if (journal_ != nullptr) {
-               journal_->append(
-                   "quarantine",
-                   "stream=" + std::to_string(stream_id_) +
-                       " seq=" + std::to_string(seq) +
-                       " fault=" + to_string(fault) +
-                       " action=ingress-reject");
-             }
-             ++stats_.enqueued;
-             ++stats_.failed;
-             if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+             reject(seq, fault, "ingress-reject");
              ++seq;  // the seq is consumed: downstream keys stay aligned
              return true;
            }
@@ -196,12 +213,10 @@ void StreamIngress::run() {
            // enqueued - completed - shed - failed residual once the
            // queue drains.
            ++seq;
-           ++stats_.enqueued;
-           if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+           count_dispatch();
            return true;
          });
 
-  stats_.completed = 0;  // filled in by the runtime from worker results
   if (stats_.enqueued > 0) {
     stats_.mean_frame_density =
         density_sum / static_cast<double>(stats_.enqueued);

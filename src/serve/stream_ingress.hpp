@@ -13,11 +13,12 @@
 // non-finite values, inverted bin timing, geometry mismatch) are
 // quarantined with a typed FrameFault instead of flowing downstream to
 // index kernels out of range. A quarantined frame still consumes its
-// seq and counts as enqueued + failed, so (stream, seq) keys and the
-// accounting invariant survive. An attached FaultInjector can corrupt,
-// stall, or disconnect the stream at exact (stream, seq) sites; a
-// disconnect (injected or a real ingress-thread exception, which the
-// runtime routes to mark_failed) fails only this stream.
+// seq, counts as enqueued, and is reported to the runtime's outcome
+// record as failed, so (stream, seq) keys and the accounting invariant
+// survive. An attached FaultInjector can corrupt, stall, or disconnect
+// the stream at exact (stream, seq) sites; a disconnect (injected or a
+// real ingress-thread exception, which the runtime routes to
+// mark_failed) fails only this stream.
 //
 // Ingest order is deterministic per stream — collect_frames() runs the
 // identical E2SF+DSFA pipeline without a queue, faults, or validation,
@@ -66,6 +67,13 @@ struct IngressConfig {
 /// WireStreamIngress (network receive path) — ServingRuntime drives
 /// both through this interface, so the queue/worker/report machinery
 /// is written once.
+///
+/// The base holds what both share: the ingress-side stats, the fault
+/// journal, and the two hooks the runtime installs before run(). A
+/// frame rejected at admission is reported through the quarantine hook
+/// when it happens, so it enters the runtime's outcome record live, as
+/// a failed frame; every dispatched frame (rejects included) bumps the
+/// stream's dispatch counter. The ingress itself counts no outcome.
 class IngressBase {
  public:
   virtual ~IngressBase() = default;
@@ -73,16 +81,47 @@ class IngressBase {
   /// Runs the stream to completion (single-shot, dedicated thread).
   virtual void run() = 0;
 
-  /// Marks this stream failed; the runtime calls it when the ingress
-  /// thread dies on an exception.
-  virtual void mark_failed(std::string reason) = 0;
+  /// Marks this stream failed (stats().ingress_failed + the first
+  /// reason). The runtime calls it when the ingress thread dies on an
+  /// exception; injected disconnects call it from inside run().
+  void mark_failed(std::string reason);
 
-  /// Per-stream accounting, valid after run() returns.
-  [[nodiscard]] virtual const StreamServeStats& stats() const noexcept = 0;
+  /// Installs the runtime's hooks; call before run(). `quarantine`
+  /// receives every frame rejected at admission, on the ingress thread.
+  /// `dispatched` counts every dispatched frame, mirroring
+  /// stats().enqueued; nullptr (metrics off) costs one null check per
+  /// frame. `journal` (nullptr = off) receives fired faults and
+  /// quarantines as (site, fault, action) lines. Both pointers must
+  /// outlive the ingress.
+  void attach_runtime(FailureSink quarantine, obs::Counter* dispatched,
+                      FaultJournal* journal);
 
-  /// Frames this ingress quarantined, in seq order; valid after run().
-  [[nodiscard]] virtual const std::vector<QuarantinedFrame>& quarantined()
-      const noexcept = 0;
+  /// Ingress-side accounting (enqueued, raw frames, density, wire
+  /// lanes, ingress failure), valid after run() returns. Outcomes —
+  /// completed, shed, failed — live in the runtime's record.
+  [[nodiscard]] const StreamServeStats& stats() const noexcept {
+    return stats_;
+  }
+
+ protected:
+  explicit IngressBase(int stream_id);
+
+  /// Counts one dispatched frame: stats().enqueued and the dispatch
+  /// counter.
+  void count_dispatch();
+  /// Admission reject of frame `seq`: journals it under `action`,
+  /// reports it through the quarantine hook, and counts it dispatched.
+  /// The caller still advances its seq past the frame, so (stream, seq)
+  /// keys stay aligned.
+  void reject(std::int64_t seq, FrameFault fault, const char* action);
+
+  int stream_id_;
+  StreamServeStats stats_;
+  FaultJournal* journal_ = nullptr;
+
+ private:
+  FailureSink on_quarantine_;
+  obs::Counter* dispatch_counter_ = nullptr;
 };
 
 class StreamIngress final : public IngressBase {
@@ -98,42 +137,11 @@ class StreamIngress final : public IngressBase {
     faults_ = injector;
   }
 
-  /// Attaches the crash-consistent fault journal (nullptr detaches);
-  /// fired faults and quarantines at this ingress are appended as
-  /// (site, fault, action) entries. Must outlive the ingress.
-  void attach_journal(FaultJournal* journal) noexcept {
-    journal_ = journal;
-  }
-
-  /// Attaches this stream's labeled enqueue counter (nullptr detaches);
-  /// bumped once per dispatched frame, mirroring stats().enqueued. The
-  /// runtime resolves the series up front, so the hot path is one null
-  /// check plus one atomic add. Must outlive the ingress.
-  void attach_dispatch_counter(obs::Counter* counter) noexcept {
-    dispatch_counter_ = counter;
-  }
-
   /// Runs the stream to completion (call on a dedicated thread): E2SF ->
   /// DSFA -> queue. Returns when every dispatched frame was enqueued (or
   /// the queue closed early, or an injected disconnect fired).
   /// Single-shot.
   void run() override;
-
-  /// Marks this stream failed (stats().ingress_failed + reason). The
-  /// runtime calls this when the ingress thread dies on an exception;
-  /// injected disconnects call it from inside run().
-  void mark_failed(std::string reason) override;
-
-  /// Per-stream accounting, valid after run() returns.
-  [[nodiscard]] const StreamServeStats& stats() const noexcept override {
-    return stats_;
-  }
-  /// Frames this ingress quarantined (validation failures), in seq
-  /// order; valid after run() returns.
-  [[nodiscard]] const std::vector<QuarantinedFrame>& quarantined()
-      const noexcept override {
-    return quarantined_;
-  }
 
   /// The merged frames this stream dispatches, in dispatch order — the
   /// same E2SF+DSFA pipeline run offline (no queue, no threads, no
@@ -143,15 +151,10 @@ class StreamIngress final : public IngressBase {
       const events::EventStream& stream, const IngressConfig& config);
 
  private:
-  int stream_id_;
   const events::EventStream& stream_;
   IngressConfig config_;
   FrameQueue& queue_;
   FaultInjector* faults_ = nullptr;
-  FaultJournal* journal_ = nullptr;
-  obs::Counter* dispatch_counter_ = nullptr;
-  StreamServeStats stats_;
-  std::vector<QuarantinedFrame> quarantined_;
 };
 
 }  // namespace evedge::serve

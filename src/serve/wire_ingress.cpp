@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace evedge::serve {
@@ -13,20 +12,11 @@ WireStreamIngress::WireStreamIngress(int stream_id, IngressConfig config,
                                      WireIngressConfig wire_config,
                                      FrameQueue& queue,
                                      TransportAcceptor acceptor)
-    : stream_id_(stream_id),
+    : IngressBase(stream_id),
       config_(std::move(config)),
       wire_config_(std::move(wire_config)),
       queue_(queue),
-      acceptor_(std::move(acceptor)) {
-  stats_.stream_id = stream_id;
-}
-
-void WireStreamIngress::mark_failed(std::string reason) {
-  stats_.ingress_failed = true;
-  if (stats_.failure_reason.empty()) {
-    stats_.failure_reason = std::move(reason);
-  }
-}
+      acceptor_(std::move(acceptor)) {}
 
 void WireStreamIngress::on_hello(const wire::StreamHeader& header) {
   header_ = header;
@@ -53,17 +43,7 @@ bool WireStreamIngress::dispatch(sparse::SparseFrame frame) {
   const FrameFault fault =
       frame_fault_of(frame, header_.height, header_.width);
   if (fault != FrameFault::kNone) {
-    quarantined_.push_back(QuarantinedFrame{stream_id_, seq_, fault, 0});
-    if (journal_ != nullptr) {
-      journal_->append("quarantine",
-                       "stream=" + std::to_string(stream_id_) +
-                           " seq=" + std::to_string(seq_) +
-                           " fault=" + to_string(fault) +
-                           " action=wire-ingress-reject");
-    }
-    ++stats_.enqueued;
-    ++stats_.failed;
-    if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+    reject(seq_, fault, "wire-ingress-reject");
     ++seq_;  // seq consumed: (stream, seq) keys stay aligned
     return true;
   }
@@ -84,8 +64,7 @@ bool WireStreamIngress::dispatch(sparse::SparseFrame frame) {
     return false;
   }
   ++seq_;
-  ++stats_.enqueued;
-  if (dispatch_counter_ != nullptr) dispatch_counter_->add();
+  count_dispatch();
   return true;
 }
 
@@ -198,7 +177,6 @@ void WireStreamIngress::run() {
   stats_.wire_heartbeats = wire_stats_.heartbeats_seen;
   stats_.wire_rewinds = wire_stats_.rewinds_seen;
   stats_.wire_resyncs = wire_stats_.resyncs;
-  stats_.completed = 0;  // filled in by the runtime from worker results
   if (stats_.enqueued > 0) {
     stats_.mean_frame_density =
         density_sum_ / static_cast<double>(stats_.enqueued);

@@ -60,28 +60,7 @@ class WireStreamIngress final : public IngressBase {
                     WireIngressConfig wire_config, FrameQueue& queue,
                     TransportAcceptor acceptor);
 
-  /// Attaches the fault journal (nullptr detaches); rejected packets
-  /// and frame quarantines are appended. Must outlive the ingress.
-  void attach_journal(FaultJournal* journal) noexcept {
-    journal_ = journal;
-  }
-
-  /// Attaches this stream's labeled enqueue counter (nullptr detaches);
-  /// bumped once per dispatched frame, mirroring stats().enqueued.
-  /// Must outlive the ingress.
-  void attach_dispatch_counter(obs::Counter* counter) noexcept {
-    dispatch_counter_ = counter;
-  }
-
   void run() override;
-  void mark_failed(std::string reason) override;
-  [[nodiscard]] const StreamServeStats& stats() const noexcept override {
-    return stats_;
-  }
-  [[nodiscard]] const std::vector<QuarantinedFrame>& quarantined()
-      const noexcept override {
-    return quarantined_;
-  }
 
   /// Raw receiver-side session counters, valid after run().
   [[nodiscard]] const wire::WireRecvStats& wire_stats() const noexcept {
@@ -106,16 +85,10 @@ class WireStreamIngress final : public IngressBase {
   bool dispatch(sparse::SparseFrame frame);
   bool drain_dsfa();
 
-  int stream_id_;
   IngressConfig config_;
   WireIngressConfig wire_config_;
   FrameQueue& queue_;
   TransportAcceptor acceptor_;
-  FaultJournal* journal_ = nullptr;
-  obs::Counter* dispatch_counter_ = nullptr;
-
-  StreamServeStats stats_;
-  std::vector<QuarantinedFrame> quarantined_;
   wire::WireRecvStats wire_stats_;
 
   // Streaming pipeline state (built on hello).

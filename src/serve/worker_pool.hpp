@@ -86,11 +86,6 @@ using ResultSink = std::function<void(
     const ReadyFrame& frame, const sparse::DenseTensor& batch_output,
     int lane, double latency_us)>;
 
-/// Called once per frame that leaves the pipeline without a result
-/// (shed past its deadline, or retries exhausted). Thread-safe like
-/// ResultSink.
-using FailureSink = std::function<void(const QuarantinedFrame&)>;
-
 /// Everything the supervised serve loop plugs into. `result` is
 /// required; the rest are optional (nullptr / empty = feature off).
 struct ServeHooks {

@@ -359,19 +359,17 @@ TEST(Metrics, PrometheusTextRoundTrips) {
 // ------------------------------------------------------- labeled metrics
 
 TEST(LabeledMetrics, LabelSetCanonicalizesAndInternsStably) {
-  // Construction order does not matter: sets sort by key, equal sets
-  // intern to the same stable id.
+  // Construction order does not matter: sets sort by key, and equal
+  // sets share one canonical key.
   const eo::LabelSet a{{"stream", "3"}, {"route", "csr"}};
   const eo::LabelSet b{{"route", "csr"}, {"stream", "3"}};
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.key(), b.key());
   EXPECT_EQ(a.prometheus(), "{route=\"csr\",stream=\"3\"}");
-  EXPECT_EQ(eo::intern_labels(a), eo::intern_labels(b));
 
   const eo::LabelSet c{{"route", "dense"}, {"stream", "3"}};
   EXPECT_FALSE(a == c);
   EXPECT_NE(a.key(), c.key());
-  EXPECT_NE(eo::intern_labels(a), eo::intern_labels(c));
 
   // Duplicated key: the first value wins, deterministically.
   const eo::LabelSet dup{{"k", "first"}, {"k", "second"}};
@@ -953,13 +951,13 @@ TEST(ServeObservability, BurnRateAccountsSloExtremes) {
     const ev::StreamServeStats& s = report.streams.front();
     EXPECT_EQ(s.slo_good, report.frames_completed);
     EXPECT_EQ(s.slo_bad, 0u);
-    EXPECT_DOUBLE_EQ(s.burn_rate, 0.0);
+    EXPECT_DOUBLE_EQ(s.burn_rate(), 0.0);
     EXPECT_NE(report.describe().find("burn rate 0.00"), std::string::npos);
   }
 
-  // A deadline nothing can meet: every frame is shed, the whole window
-  // is bad, and burn = bad_fraction / (1 - kSloBurnGoodTarget) saturates
-  // at 1/0.01 = 100x the error budget.
+  // A deadline nothing can meet: every frame is shed, every graded
+  // outcome is bad, and burn = bad_fraction / (1 - kSloBurnGoodTarget)
+  // saturates at 1/0.01 = 100x the error budget.
   config.slo.deadline_ms = 0.0001;
   {
     ev::ServingRuntime runtime(spec, 7, config);
@@ -967,18 +965,18 @@ TEST(ServeObservability, BurnRateAccountsSloExtremes) {
     ASSERT_TRUE(report.accounting_ok());
     const ev::StreamServeStats& s = report.streams.front();
     ASSERT_GT(s.slo_bad, 0u);
-    EXPECT_GT(s.burn_rate, 1.0);  // burning through the budget
+    EXPECT_GT(s.burn_rate(), 1.0);  // burning through the budget
     if (s.slo_good == 0) {
-      EXPECT_DOUBLE_EQ(s.burn_rate,
+      EXPECT_DOUBLE_EQ(s.burn_rate(),
                        1.0 / (1.0 - ev::kSloBurnGoodTarget));
     }
-    // The labeled gauge carries the same final rolling value the report
-    // hands back.
+    // The labeled gauge carries the same final value the report hands
+    // back.
     const double gauge = eo::MetricsRegistry::global()
                              .labeled_gauge("evedge_slo_burn_rate")
                              .at({{"stream", "0"}})
                              .value();
-    EXPECT_DOUBLE_EQ(gauge, s.burn_rate);
+    EXPECT_DOUBLE_EQ(gauge, s.burn_rate());
   }
 }
 

@@ -99,14 +99,21 @@ ev::IngressConfig test_ingress() {
 }
 
 /// One stream's frame ledger as the Prometheus scrape reports it: the
-/// enqueued counter and each outcome series of the global registry
-/// (which accumulates across runs, so tests compare deltas).
+/// enqueued counter, each outcome series and the latency histogram's
+/// count, plus the unlabeled run totals (the same in every stream's
+/// scrape). The global registry accumulates across runs, so tests
+/// compare deltas.
 struct ScrapedLedger {
   std::uint64_t enqueued = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
   std::uint64_t failed = 0;
   std::uint64_t dropped = 0;
+  std::uint64_t latency_count = 0;
+  std::uint64_t total_completed = 0;
+  std::uint64_t total_shed = 0;
+  std::uint64_t total_failed = 0;
+  std::uint64_t total_latency_count = 0;
 };
 
 ScrapedLedger scrape_ledger(std::size_t stream) {
@@ -126,6 +133,20 @@ ScrapedLedger scrape_ledger(std::size_t stream) {
   ledger.shed = outcome("shed");
   ledger.failed = outcome("failed");
   ledger.dropped = outcome("dropped");
+  ledger.latency_count =
+      registry.labeled_histogram("evedge_stream_latency_us",
+                                 eo::Histogram::Options{})
+          .at({{"stream", id}})
+          .count();
+  ledger.total_completed =
+      registry.counter("evedge_frames_completed_total").value();
+  ledger.total_shed = registry.counter("evedge_frames_shed_total").value();
+  ledger.total_failed =
+      registry.counter("evedge_frames_failed_total").value();
+  ledger.total_latency_count =
+      registry.histogram("evedge_completion_latency_us",
+                         eo::Histogram::Options{})
+          .count();
   return ledger;
 }
 
@@ -139,10 +160,14 @@ std::vector<ScrapedLedger> scrape_ledgers(std::size_t streams) {
 
 /// Per stream, this run's scraped deltas (against `before`) must balance
 /// — enqueued == completed + shed + failed + dropped — and each must
-/// equal the report's field: the report and the scrape agree.
+/// equal the report's field, the latency histogram must count the
+/// report's samples, and a graded stream's burn gauge must read its
+/// burn_rate(); the unlabeled totals' deltas must equal the report's
+/// totals. The report and the scrape agree.
 void expect_scrape_matches_report(const std::vector<ScrapedLedger>& before,
                                   const ev::ServeReport& report) {
   ASSERT_EQ(before.size(), report.streams.size());
+  ASSERT_FALSE(before.empty());
   for (std::size_t s = 0; s < before.size(); ++s) {
     const ScrapedLedger after = scrape_ledger(s);
     const std::uint64_t enqueued = after.enqueued - before[s].enqueued;
@@ -158,7 +183,27 @@ void expect_scrape_matches_report(const std::vector<ScrapedLedger>& before,
     EXPECT_EQ(shed, r.shed) << "stream " << s;
     EXPECT_EQ(failed, r.failed) << "stream " << s;
     EXPECT_EQ(dropped, r.dropped) << "stream " << s;
+    EXPECT_EQ(after.latency_count - before[s].latency_count,
+              r.latency.count())
+        << "stream " << s;
+    // Outcomes are graded only under a deadline.
+    if (r.slo_good + r.slo_bad > 0) {
+      EXPECT_DOUBLE_EQ(eo::MetricsRegistry::global()
+                           .labeled_gauge("evedge_slo_burn_rate")
+                           .at({{"stream", std::to_string(s)}})
+                           .value(),
+                       r.burn_rate())
+          << "stream " << s;
+    }
   }
+  const ScrapedLedger after = scrape_ledger(0);
+  EXPECT_EQ(after.total_completed - before[0].total_completed,
+            report.frames_completed);
+  EXPECT_EQ(after.total_shed - before[0].total_shed, report.frames_shed);
+  EXPECT_EQ(after.total_failed - before[0].total_failed,
+            report.frames_failed);
+  EXPECT_EQ(after.total_latency_count - before[0].total_latency_count,
+            report.frames_completed);
 }
 
 }  // namespace
@@ -598,6 +643,20 @@ TEST(ServeStats, ReservoirPercentiles) {
   EXPECT_NEAR(reservoir.percentile_us(0.95), 95.0, 1.0);
   EXPECT_DOUBLE_EQ(reservoir.mean_us(), 50.5);
   EXPECT_DOUBLE_EQ(reservoir.max_us(), 100.0);
+
+  // The window query: the last 10 samples of 1..100 are 91..100, ranked
+  // by the same round(q·(n−1)) rule.
+  const ev::LatencyReservoir window = reservoir.recent(10);
+  EXPECT_EQ(window.count(), 10u);
+  EXPECT_DOUBLE_EQ(window.percentile_us(0.0), 91.0);
+  EXPECT_DOUBLE_EQ(window.percentile_us(0.5), 96.0);  // index round(4.5)
+  EXPECT_DOUBLE_EQ(window.percentile_us(0.99), 100.0);
+  EXPECT_DOUBLE_EQ(window.percentile_us(1.0), 100.0);
+  // A window wider than the reservoir is all of it; an empty one reads 0.
+  EXPECT_EQ(reservoir.recent(1000).count(), 100u);
+  EXPECT_DOUBLE_EQ(reservoir.recent(1000).percentile_us(0.5), 51.0);
+  EXPECT_EQ(reservoir.recent(0).count(), 0u);
+  EXPECT_EQ(reservoir.recent(0).percentile_us(0.5), 0.0);
 }
 
 // ----------------------------------------------- FrameQueue edge cases
@@ -1476,38 +1535,41 @@ TEST(Degradation, LatencySpikeEscalatesWithoutQueueGrowth) {
   slo.exit_intervals = 4;
   slo.latency_high_ms = 10.0;  // p99 >= 10 ms escalates
   ev::DegradationController controller(slo, queue, state);
-  ev::RollingLatency probe(16);
-  controller.set_latency_probe(&probe);
+  // The completions so far; each tick sees the latest 16 of them.
+  ev::LatencyReservoir latency;
+  const auto sample = [&](double t_ms) {
+    controller.sample(t_ms, latency.recent(16));
+  };
   std::size_t hook_fires = 0;
   controller.set_transition_hook(
       [&](const ev::DegradationTransition&) { ++hook_fires; });
 
   // Fewer than 4 samples: the trigger is inert no matter how slow.
-  probe.add(500'000.0);
-  probe.add(500'000.0);
-  for (int i = 0; i < 6; ++i) controller.sample(i);
+  latency.add(500'000.0);
+  latency.add(500'000.0);
+  for (int i = 0; i < 6; ++i) sample(i);
   EXPECT_EQ(state.level(), ev::kDegradeNormal);
 
   // A sustained 50 ms p99 with the queue empty escalates one rung per
   // enter_intervals streak.
-  for (int i = 0; i < 8; ++i) probe.add(50'000.0);
-  for (int i = 0; i < 3; ++i) controller.sample(10 + i);
+  for (int i = 0; i < 8; ++i) latency.add(50'000.0);
+  for (int i = 0; i < 3; ++i) sample(10 + i);
   EXPECT_EQ(state.level(), ev::kDegradeDropOldest);
   ASSERT_EQ(controller.transitions().size(), 1u);
   EXPECT_EQ(controller.transitions()[0].queue_depth, 0u);  // no growth
   EXPECT_GE(controller.transitions()[0].p99_ms, slo.latency_high_ms);
   EXPECT_EQ(hook_fires, 1u);
 
-  for (int i = 0; i < 3; ++i) controller.sample(20 + i);
+  for (int i = 0; i < 3; ++i) sample(20 + i);
   EXPECT_EQ(state.level(), ev::kDegradeWideBatch);
 
   // Recovery needs p99 back under latency_low (default high/2): refill
   // the forgetting window with fast completions and the ladder steps
   // down (queue fill was low the whole time).
-  for (int i = 0; i < 16; ++i) probe.add(1'000.0);
-  for (int i = 0; i < 4; ++i) controller.sample(30 + i);
+  for (int i = 0; i < 16; ++i) latency.add(1'000.0);
+  for (int i = 0; i < 4; ++i) sample(30 + i);
   EXPECT_EQ(state.level(), ev::kDegradeDropOldest);
-  for (int i = 0; i < 4; ++i) controller.sample(40 + i);
+  for (int i = 0; i < 4; ++i) sample(40 + i);
   EXPECT_EQ(state.level(), ev::kDegradeNormal);
   EXPECT_EQ(hook_fires, controller.transitions().size());
   controller.finish(50.0);
@@ -1524,21 +1586,117 @@ TEST(Degradation, HotTailBlocksRecoveryDespiteDrainedQueue) {
   slo.latency_high_ms = 10.0;
   slo.latency_low_ms = 4.0;
   ev::DegradationController controller(slo, queue, state);
-  ev::RollingLatency probe(8);
-  controller.set_latency_probe(&probe);
+  ev::LatencyReservoir latency;
+  const auto sample = [&](double t_ms) {
+    controller.sample(t_ms, latency.recent(8));
+  };
 
-  for (int i = 0; i < 8; ++i) probe.add(20'000.0);
-  for (int i = 0; i < 2; ++i) controller.sample(i);
+  for (int i = 0; i < 8; ++i) latency.add(20'000.0);
+  for (int i = 0; i < 2; ++i) sample(i);
   ASSERT_EQ(state.level(), ev::kDegradeDropOldest);
 
   // 6 ms p99: below high, above low -> neither streak accumulates.
-  for (int i = 0; i < 8; ++i) probe.add(6'000.0);
-  for (int i = 0; i < 10; ++i) controller.sample(10 + i);
+  for (int i = 0; i < 8; ++i) latency.add(6'000.0);
+  for (int i = 0; i < 10; ++i) sample(10 + i);
   EXPECT_EQ(state.level(), ev::kDegradeDropOldest);
 
   // Under the recovery bound: de-escalates.
-  for (int i = 0; i < 8; ++i) probe.add(2'000.0);
-  for (int i = 0; i < 2; ++i) controller.sample(30 + i);
+  for (int i = 0; i < 8; ++i) latency.add(2'000.0);
+  for (int i = 0; i < 2; ++i) sample(30 + i);
   EXPECT_EQ(state.level(), ev::kDegradeNormal);
   controller.finish(40.0);
+}
+
+TEST(Degradation, RuntimeLatencyTriggerEscalatesPacedStream) {
+  // The latency trigger through ServingRuntime: one stream paced at
+  // sensor speed keeps the queue far below its high watermark, while a
+  // 20 ms spike on every worker batch holds each completion's latency
+  // above latency_high_ms — so the ladder walks on latency alone.
+  const en::NetworkSpec spec =
+      en::build_network(en::NetworkId::kDotie, en::ZooConfig::test_scale());
+  const auto shape =
+      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+  std::vector<ee::EventStream> streams;
+  streams.push_back(matched_stream(shape.h, shape.w, 1.0, 600'000, 141));
+
+  ev::ServeConfig config;
+  config.ingress = test_ingress();
+  config.ingress.pace_speedup = 1.0;
+  config.n_workers = 1;
+  config.queue_capacity = 64;
+  config.overflow = ev::OverflowPolicy::kBlock;
+  config.worker.use_planner = false;
+  config.slo.degrade = true;
+  config.slo.latency_high_ms = 10.0;
+  for (std::int64_t batch = 0; batch < 256; ++batch) {
+    ev::FaultSpec spike;
+    spike.type = ev::FaultType::kLatencySpike;
+    spike.worker_id = 0;
+    spike.batch = batch;
+    spike.delay_ms = 20.0;
+    config.faults.add(spike);
+  }
+  ev::ServingRuntime runtime(spec, 7, config);
+  const ev::ServeReport report = runtime.run(streams);
+
+  EXPECT_TRUE(report.accounting_ok());
+  // Fewer frames than the high watermark's depth: the queue alone can
+  // never trip the ladder.
+  const double high_depth =
+      config.slo.high_watermark * static_cast<double>(config.queue_capacity);
+  ASSERT_LT(static_cast<double>(report.streams[0].enqueued), high_depth);
+  ASSERT_FALSE(report.degradation.empty());
+  const ev::DegradationTransition& first = report.degradation.front();
+  EXPECT_EQ(first.from, ev::kDegradeNormal);
+  EXPECT_GE(first.p99_ms, config.slo.latency_high_ms);
+  EXPECT_LT(static_cast<double>(first.queue_depth), high_depth);
+}
+
+// ------------------------------------------------------ frame ledger
+
+TEST(FrameLedger, EveryOutcomeIsGradedOnce) {
+  // Every outcome — completions, and the frame quarantined at ingress —
+  // is recorded and graded once, and the scrape reads the same record.
+  const en::NetworkSpec spec =
+      en::build_network(en::NetworkId::kDotie, en::ZooConfig::test_scale());
+  const auto shape =
+      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+  std::vector<ee::EventStream> streams;
+  for (std::uint64_t s = 0; s < 2; ++s) {
+    streams.push_back(
+        matched_stream(shape.h, shape.w, 1.0 + 0.5 * s, 400'000, 81 + s));
+  }
+
+  ev::ServeConfig config;
+  config.ingress = test_ingress();
+  config.n_workers = 2;
+  config.worker.use_planner = false;
+  config.slo.deadline_ms = 60'000.0;  // no completion can miss it
+  config.obs.metrics = true;
+  ev::FaultSpec corrupt;
+  corrupt.type = ev::FaultType::kCorruptFrame;
+  corrupt.stream_id = 0;
+  corrupt.seq = 1;
+  config.faults.add(corrupt);
+  ev::ServingRuntime runtime(spec, 7, config);
+  const std::vector<ScrapedLedger> before = scrape_ledgers(streams.size());
+  const ev::ServeReport report = runtime.run(streams);
+
+  EXPECT_TRUE(report.accounting_ok());
+  ASSERT_EQ(report.streams.size(), 2u);
+  for (const ev::StreamServeStats& s : report.streams) {
+    EXPECT_EQ(s.slo_good + s.slo_bad, s.completed + s.shed + s.failed)
+        << "stream " << s.stream_id;
+  }
+  const ev::StreamServeStats& s0 = report.streams[0];
+  EXPECT_EQ(s0.failed, 1u);
+  EXPECT_EQ(s0.slo_bad, 1u);  // the ingress quarantine
+  ASSERT_GT(s0.slo_good, 0u);
+  EXPECT_DOUBLE_EQ(s0.burn_rate(),
+                   static_cast<double>(s0.slo_bad) /
+                       static_cast<double>(s0.slo_good + s0.slo_bad) /
+                       (1.0 - ev::kSloBurnGoodTarget));
+  EXPECT_EQ(report.streams[1].slo_bad, 0u);
+  EXPECT_DOUBLE_EQ(report.streams[1].burn_rate(), 0.0);
+  expect_scrape_matches_report(before, report);
 }
