@@ -2,7 +2,8 @@
 // (sparse::reference) against the rewritten fast paths on identical
 // inputs — dense conv2d (direct + GEMM), transposed_conv2d,
 // sparse_conv2d and submanifold_conv2d at DAVIS346-scale shapes across
-// event densities — and writes machine-readable results to
+// event densities, the spiking layers' site-major synaptic current and
+// LIF step — and writes machine-readable results to
 // BENCH_kernels.json so the perf trajectory is tracked across changes.
 // Parity (max abs diff vs the reference) is reported alongside every
 // timing.
@@ -17,6 +18,7 @@
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
 #include "nn/kernels.hpp"
+#include "nn/lif.hpp"
 #include "sparse/reference.hpp"
 #include "sparse/sparse_ops.hpp"
 #include "sparse/tensor.hpp"
@@ -247,6 +249,96 @@ Result bench_sparse_csr(const std::string& label, int h, int w,
   return r;
 }
 
+/// A spiking layer's synaptic current on the scatter route: the
+/// channel-major scatter (sparse_conv2d, [C, H, W]) against the
+/// site-major one the engine runs (sparse_conv2d_rows, [H, W, C], with
+/// weights packed once as the engine packs them). Parity compares the
+/// channel-major result transposed into rows.
+Result bench_spiking_current(const std::string& label, int h, int w,
+                             int in_channels, int out_channels, int kernel,
+                             int stride, int padding, double density,
+                             int ref_reps, int fast_reps) {
+  const es::Conv2dSpec spec{in_channels, out_channels, kernel, stride,
+                            padding};
+  const auto input = random_channels(in_channels, h, w, density, 51);
+  es::DenseTensor weights(
+      es::TensorShape{out_channels, in_channels, kernel, kernel});
+  weights.fill_random(52, 0.2f);
+  std::vector<float> packed;
+  es::pack_conv_weights(weights, packed);
+  es::DenseTensor rows;
+
+  Result r;
+  r.kernel = "spiking_current";
+  r.shape = label;
+  r.density = density;
+  r.ref_ms = time_best_ms(
+      [&] { (void)es::sparse_conv2d(input, weights, {}, spec); }, ref_reps);
+  r.fast_ms = time_best_ms(
+      [&] {
+        es::sparse_conv2d_rows(input, weights, {}, spec, packed, rows);
+      },
+      fast_reps);
+  es::DenseTensor want;
+  es::to_site_major(es::sparse_conv2d(input, weights, {}, spec), want);
+  r.max_abs_diff = es::max_abs_diff(rows, want);
+  return r;
+}
+
+/// One LIF step of a spiking layer: the channel-major oracle
+/// (reference::lif_step, a spike tensor allocated per call) against
+/// LifState's site-major step into a persistent spike buffer, as the
+/// engine runs it. Per-channel leak and threshold around the benchmark
+/// networks' 0.44 threshold, and a current that keeps about 5% of the
+/// sites firing (the benchmark networks' layers fire 1-5%). Parity
+/// steps fresh states 5 times and compares spikes and membranes.
+Result bench_lif(const std::string& label, const es::TensorShape& shape,
+                 int ref_reps, int fast_reps) {
+  std::vector<float> leak(static_cast<std::size_t>(shape.c));
+  std::vector<float> vth(leak.size());
+  for (std::size_t c = 0; c < leak.size(); ++c) {
+    leak[c] = 0.75f + 0.02f * static_cast<float>(c % 10);
+    vth[c] = 0.35f + 0.02f * static_cast<float>(c % 8);
+  }
+  es::DenseTensor current(shape);
+  current.fill_random(61, 0.16f);
+  es::DenseTensor current_rows;
+  es::to_site_major(current, current_rows);
+  const en::LifParams params{0.85f, 0.44f, true};
+
+  Result r;
+  r.kernel = "lif_step";
+  r.shape = label;
+  es::DenseTensor membrane(shape);
+  std::uint64_t fired = 0;
+  r.ref_ms = time_best_ms(
+      [&] {
+        (void)es::reference::lif_step(membrane, current, leak, vth,
+                                      params.soft_reset, fired);
+      },
+      ref_reps);
+  en::LifState lif(shape, params, leak, vth);
+  es::DenseTensor spikes;
+  r.fast_ms = time_best_ms([&] { lif.step_sites(current_rows, spikes); },
+                           fast_reps);
+  r.density = lif.mean_firing_rate();
+
+  es::DenseTensor oracle_membrane(shape);
+  en::LifState fresh(shape, params, leak, vth);
+  double diff = 0.0;
+  for (int t = 0; t < 5; ++t) {
+    const es::DenseTensor want = es::reference::lif_step(
+        oracle_membrane, current, leak, vth, params.soft_reset, fired);
+    fresh.step_sites(current_rows, spikes);
+    es::DenseTensor want_rows;
+    es::to_site_major(oracle_membrane, want_rows);
+    diff = std::max<double>(diff, es::max_abs_diff(spikes, want));
+    diff = std::max<double>(diff, es::max_abs_diff(fresh.membrane(), want_rows));
+  }
+  r.max_abs_diff = diff;
+  return r;
+}
+
 [[nodiscard]] bool write_json(const std::vector<Result>& results,
                               const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -339,6 +431,14 @@ int main(int argc, char** argv) {
     report(bench_submanifold_axis("16x130x173 -> 32 k3", 130, 173, 16, 32, 3,
                                   0.02, mode, 3, 9));
   }
+
+  // --- Spiking layers, site-major: Adaptive-SpikeNet enc2's synaptic
+  // current (16 -> 32 k3 s2 on enc1's 128x176 spikes, ~4% firing) and
+  // the LIF step at enc1's shape and DOTIE's.
+  report(bench_spiking_current("16x128x176 -> 32 k3s2", 128, 176, 16, 32, 3,
+                               2, 1, 0.04, 3, 31));
+  report(bench_lif("16@128x176", es::TensorShape{1, 16, 128, 176}, 5, 15));
+  report(bench_lif("1@256x352", es::TensorShape{1, 1, 256, 352}, 5, 15));
 
   const bool wrote = write_json(results, out_path);
 

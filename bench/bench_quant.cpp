@@ -1,7 +1,9 @@
-// INT8 engine benchmark: times the real int8 kernels against the FP32
-// fast paths on identical inputs at DAVIS346-scale shapes — dense
-// im2col+GEMM convs across the encoder pyramid, the sparse gather
-// kernels at event densities, and the fully connected head — and writes
+// INT8 engine benchmark: times the real int8 kernels against FP32 on
+// identical inputs at DAVIS346-scale shapes — dense im2col+GEMM convs
+// across the encoder pyramid (against the fixed seed conv,
+// sparse::reference::conv2d), the sparse gather kernels at event
+// densities and the fully connected head (against the FP32 fast
+// paths) — and writes
 // BENCH_quant.json (gated by scripts/check_bench_regression.py like the
 // kernel bench). The parity column is the max abs difference between the
 // int8 kernel's dequantized output and the float fake-quant reference of
@@ -21,6 +23,7 @@
 #include "nn/kernels.hpp"
 #include "quant/int8_kernels.hpp"
 #include "quant/quantizer.hpp"
+#include "sparse/reference.hpp"
 #include "sparse/sparse_ops.hpp"
 #include "sparse/tensor.hpp"
 
@@ -35,7 +38,7 @@ struct Result {
   std::string kernel;
   std::string shape;
   double density = 1.0;
-  double ref_ms = 0.0;   ///< FP32 fast path
+  double ref_ms = 0.0;   ///< FP32 reference (seed kernel for dense rows)
   double fast_ms = 0.0;  ///< INT8 path
   double max_abs_diff = 0.0;  ///< int8 vs fake-quant float reference
   double step = 0.0;          ///< one quantization step of the output
@@ -62,10 +65,13 @@ es::DenseTensor sparsify(es::DenseTensor t, double density) {
   return t;
 }
 
-/// Dense conv: FP32 conv2d (GEMM/direct dispatch) vs int8_conv2d.
+/// Dense conv: the fixed seed kernel sparse::reference::conv2d vs
+/// int8_conv2d. The ratio's denominator is a kernel that never changes
+/// (as in bench_kernels), so a faster FP32 conv2d cannot read as an
+/// int8 regression.
 Result bench_dense(const std::string& label, const es::TensorShape& in,
                    int out_channels, int kernel, int stride, int padding,
-                   int reps) {
+                   int ref_reps, int reps) {
   const es::Conv2dSpec spec{in.c, out_channels, kernel, stride, padding};
   const auto input = random_tensor(in, 11, 1.5f);
   const auto weights = random_tensor(
@@ -81,7 +87,8 @@ Result bench_dense(const std::string& label, const es::TensorShape& in,
   r.kernel = "int8_conv2d_gemm";
   r.shape = label;
   r.ref_ms = time_best_ms(
-      [&] { (void)en::conv2d(input, weights, bias, spec, &ws_f); }, reps);
+      [&] { (void)es::reference::conv2d(input, weights, bias, spec); },
+      ref_reps);
   r.fast_ms = time_best_ms(
       [&] { (void)eq::int8_conv2d(input, q, bias, s_x, &ws_i); }, reps);
 
@@ -265,13 +272,13 @@ int main(int argc, char** argv) {
   // --- Dense int8 GEMM across the DAVIS346 encoder pyramid: the event
   // input layer, the wide mid-pyramid layers and a strided downsample.
   report(bench_dense("2x260x346 -> 16 k3s1",
-                     es::TensorShape{1, 2, 260, 346}, 16, 3, 1, 1, 7));
+                     es::TensorShape{1, 2, 260, 346}, 16, 3, 1, 1, 3, 7));
   report(bench_dense("16x130x173 -> 32 k3s1",
-                     es::TensorShape{1, 16, 130, 173}, 32, 3, 1, 1, 7));
+                     es::TensorShape{1, 16, 130, 173}, 32, 3, 1, 1, 3, 7));
   report(bench_dense("32x65x87 -> 64 k3s1",
-                     es::TensorShape{1, 32, 65, 87}, 64, 3, 1, 1, 7));
+                     es::TensorShape{1, 32, 65, 87}, 64, 3, 1, 1, 3, 7));
   report(bench_dense("16x130x173 -> 32 k3s2",
-                     es::TensorShape{1, 16, 130, 173}, 32, 3, 2, 1, 7));
+                     es::TensorShape{1, 16, 130, 173}, 32, 3, 2, 1, 3, 7));
 
   // --- Sparse int8 gather kernels at event densities.
   for (const double d : {0.02, 0.05}) {

@@ -154,6 +154,8 @@ FunctionalNetwork FunctionalNetwork::clone() const {
 
 DenseTensor& FunctionalNetwork::weights(int node_id) {
   require_weight_node(weights_, node_id);
+  // The caller may edit through the reference: repack at the next run.
+  packs_stale_ = true;
   return weights_[static_cast<std::size_t>(node_id)];
 }
 
@@ -250,6 +252,7 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
       node_route_[i] = plan->route[i];
     }
   }
+  pack_routed_weights();
   return previous;
 }
 
@@ -267,22 +270,16 @@ Route FunctionalNetwork::effective_route(std::size_t idx) const noexcept {
   return r;
 }
 
-void FunctionalNetwork::prepare_packed_weights() {
-  if (exec_plan_ == nullptr || activation_hook_) return;
+void FunctionalNetwork::pack_routed_weights() {
+  // Quantized nodes reduce against the plan's own int8 rows, but the
+  // quant plan can change while this plan stays installed, so every
+  // sparse-routed node is packed whatever the quant plan says.
   for (std::size_t i = 0; i < node_route_.size(); ++i) {
-    if (effective_route(i) == Route::kDense) continue;
-    // Quantized nodes reduce against the plan's own packed int8 rows;
-    // narrow FP32 spiking kCsr nodes scatter against the raw weight
-    // layout.
-    if (node_quant(i) != nullptr) continue;
-    if (is_spiking_[i] && node_route_[i] == Route::kCsr &&
-        scatter_current_route(
-            spec_.graph.node(static_cast<int>(i)).spec.conv)) {
-      continue;
-    }
+    if (node_route_[i] == Route::kDense) continue;
     sparse::pack_conv_weights(weights_[i],
                               workspace_.packed_slot(static_cast<int>(i)));
   }
+  packs_stale_ = false;
 }
 
 void FunctionalNetwork::densify(const sparse::SparseSample& sample,
@@ -356,31 +353,50 @@ void FunctionalNetwork::synaptic_current(const LayerNode& node,
   const LayerSpec& ls = node.spec;
   const int parent = node.parents.front();
   const Route route = effective_route(idx);
-  if (route == Route::kCsr && node_quant(idx) == nullptr &&
-      scatter_current_route(ls.conv)) {
-    // The LIF consumer needs dense current, so narrow layers scatter
-    // straight into the staging tensor — same arithmetic as CSR +
-    // densify (bitwise, incl. the implicit zero-bias fill), minus the
-    // COO materialization and the per-site bookkeeping. Wide layers keep
-    // the vectorized gather reduction below.
+  const quant::NodeQuantPlan* nq = node_quant(idx);
+  if (route == Route::kCsr && nq == nullptr) {
+    // FP32 sparse: both forms write the site-major current directly
+    // against the node's packed [tap][oc] rows, bitwise the CSR result
+    // densified. Narrow layers scatter each (entry, tap) into its site's
+    // row; wide layers keep the gather reduction, whose per-site sums
+    // land in the rows instead of per-channel COO.
+    const sparse::SparseSample& input = sparse_value(parent);
+    const std::vector<float>& packed =
+        workspace_.packed_slot(static_cast<int>(idx));
     sparse::ConvWork work;
-    sparse::sparse_conv2d_into(sparse_value(parent), weights_[idx],
-                               biases_[idx], ls.conv, current, &work);
+    if (scatter_current_route(ls.conv)) {
+      sparse::sparse_conv2d_rows(input, weights_[idx], biases_[idx], ls.conv,
+                                 packed, current, &work);
+    } else {
+      sparse::sparse_conv2d_csr_rows(input, weights_[idx], biases_[idx],
+                                     ls.conv, current, &work, &workspace_,
+                                     sparse::SubmanifoldThreading::kAuto,
+                                     packed);
+    }
     ++exec_stats_.sparse_node_runs;
     exec_stats_.sparse_macs += work.sparse_macs;
     exec_stats_.dense_macs_avoided += work.dense_macs;
   } else if (route != Route::kDense) {
+    // Int8 sparse and kSubmanifold keep their COO kernels; the current
+    // crosses into rows once.
     run_sparse_conv(node, idx, route);
-    densify(sparse_values_[idx], current);
+    sparse::channels_into_rows(sparse_values_[idx], current);
     ++exec_stats_.densify_boundaries;
     // The carrier held the pre-LIF current, not this node's output —
     // invalidate it before the spikes land.
     sparse_valid_[idx] = 0;
-  } else if (const auto* nq = node_quant(idx)) {
-    run_quant_conv(*nq, dense_value(parent), biases_[idx], current);
   } else {
-    conv2d_into(dense_value(parent), weights_[idx], biases_[idx], ls.conv,
-                current, &workspace_);
+    // Dense current: the NCHW kernel writes the node's own output
+    // buffer, which the LIF step overwrites with spikes next, and the
+    // current crosses into rows once.
+    DenseTensor& chw = values_[idx];
+    if (nq != nullptr) {
+      run_quant_conv(*nq, dense_value(parent), biases_[idx], chw);
+    } else {
+      conv2d_into(dense_value(parent), weights_[idx], biases_[idx], ls.conv,
+                  chw, &workspace_);
+    }
+    sparse::to_site_major(chw, current);
   }
 }
 
@@ -535,9 +551,9 @@ DenseTensor FunctionalNetwork::run_lanes(
   sparse_values_.resize(n_nodes);
   kept_current_.resize(n_nodes);
   exec_stats_ = ExecStats{};
-  prepare_packed_weights();
+  if (packs_stale_) pack_routed_weights();
   // Spiking nodes feeding a sparse-routed consumer this run emit their
-  // spikes as COO directly (step_sparse), skipping the consumer's
+  // spikes as COO directly (LifState::step_sites), skipping the consumer's
   // chain-head dense_to_channels re-scan of a spike tensor that was just
   // written. Dense consumers (skip connections) densify lazily — spikes
   // are exactly 1.0f, so both representations are bitwise identical.
@@ -691,10 +707,11 @@ DenseTensor FunctionalNetwork::run_sample(
         }
         case LayerKind::kSpikingConv:
         case LayerKind::kAdaptiveSpikingConv: {
-          // The synaptic-current conv routes dense or sparse; the LIF
-          // update stays float over the dense current (membrane state is
-          // dense by nature). The spikes leave dense, or as COO when a
-          // sparse-routed consumer reads them (spike_sparse_emit_).
+          // The synaptic-current conv routes dense or sparse into a
+          // site-major [H, W, C] current, which the LIF update steps in
+          // place (membrane state is dense by nature). The spikes leave
+          // dense into the node's buffer, or as COO when a sparse-routed
+          // consumer reads them (spike_sparse_emit_).
           // Fed by a timestep-invariant parent, the node computes its
           // current once, at t == 0, into a kept per-node buffer: the
           // same input gives the same floats at every step.
@@ -705,7 +722,7 @@ DenseTensor FunctionalNetwork::run_sample(
           DenseTensor& current = keep ? kept_current_[idx] : conv_scratch_;
           if (!keep || t == 0) synaptic_current(node, idx, current);
           if (spike_sparse_emit_[idx]) {
-            lif_[idx].step_sparse(current, spike_staging_);
+            lif_[idx].step_sites(current, spike_staging_);
             const TensorShape& os = lif_[idx].shape();
             sparse::SparseSample& sample = sparse_values_[idx];
             sample.resize(static_cast<std::size_t>(os.c));
@@ -719,7 +736,7 @@ DenseTensor FunctionalNetwork::run_sample(
             sparse_valid_[idx] = 1;
             dense_valid_[idx] = 0;
           } else {
-            out = lif_[idx].step(current);
+            lif_[idx].step_sites(current, out);
             dense_valid_[idx] = 1;
           }
           break;

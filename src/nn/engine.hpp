@@ -14,6 +14,15 @@
 //  - pure ANN nets: timesteps == 1 and all bins are stacked as channels.
 //  - two-input nets (Fusion-FlowNet, HALSIE) additionally take a
 //    grayscale image, constant across timesteps.
+//  - spiking layers hold their synaptic current and LIF membrane
+//    site-major, [H, W, C] per sample (the C channels of one site
+//    contiguous; lif.hpp). An FP32 sparse-routed spiking conv writes the
+//    current in that layout directly (the scatter route for narrow
+//    layers, the gather reduction's row sink for wide ones); every
+//    other current source (dense, int8, simulate mode, kSubmanifold)
+//    keeps its kernel and crosses into rows once. The LIF step emits the
+//    spikes into the node's persistent NCHW buffer, or as per-channel
+//    COO when a sparse-routed consumer reads them.
 //
 // Execution routes (exec_plan.hpp): with an ExecutionPlan installed, each
 // conv-shaped node executes kDense, kCsr or kSubmanifold. Sparse-routed
@@ -59,6 +68,8 @@ struct ExecStats {
                                        ///< sample)
   std::size_t sparsify_boundaries = 0; ///< dense -> COO carrier conversions
   std::size_t densify_boundaries = 0;  ///< COO carrier -> dense conversions
+                                       ///< (incl. a COO current crossing
+                                       ///< into a spiking node's rows)
   std::size_t sparse_macs = 0;         ///< MACs the sparse kernels executed
   std::size_t dense_macs_avoided = 0;  ///< dense MACs the routes replaced
 };
@@ -143,6 +154,9 @@ class FunctionalNetwork {
   [[nodiscard]] const NetworkSpec& spec() const noexcept { return spec_; }
 
   /// Learned parameters of a weight node (throws for helper nodes).
+  /// The non-const accessor marks the installed plan's packed weight
+  /// rows stale, so the next run repacks them: edit through the
+  /// reference before that run (re-fetch it to edit again later).
   [[nodiscard]] sparse::DenseTensor& weights(int node_id);
   [[nodiscard]] const sparse::DenseTensor& weights(int node_id) const;
   [[nodiscard]] std::vector<float>& bias(int node_id);
@@ -182,8 +196,10 @@ class FunctionalNetwork {
   /// nodes; kSubmanifold additionally requires stride-1 same-extent
   /// geometry). nullptr restores all-dense execution. While an
   /// activation hook is installed, every node runs dense (hooks observe
-  /// and may mutate dense activations). Returns the previously installed
-  /// plan for scoped save/restore.
+  /// and may mutate dense activations). Installing a plan packs the
+  /// [tap][oc] weight rows of every sparse-routed node once, whatever
+  /// the quant plan says (weights() repacks after an edit). Returns the
+  /// previously installed plan for scoped save/restore.
   const ExecutionPlan* set_execution_plan(const ExecutionPlan* plan);
   [[nodiscard]] const ExecutionPlan* execution_plan() const noexcept {
     return exec_plan_;
@@ -274,9 +290,11 @@ class FunctionalNetwork {
   /// to kDense while an activation hook is installed or for quant
   /// simulate-mode nodes (the fake-quant twin is a dense oracle).
   [[nodiscard]] Route effective_route(std::size_t idx) const noexcept;
-  /// Packs [tap][oc] weight rows for every sparse-routed FP32 node into
-  /// the workspace's per-node slots (once per call).
-  void prepare_packed_weights();
+  /// Packs [tap][oc] weight rows for every sparse-routed node into the
+  /// workspace's per-node slots: when a plan is installed, and again at
+  /// the next run after the non-const weights() accessor handed out a
+  /// reference.
+  void pack_routed_weights();
   /// Dense view of a node's output, densifying the COO carrier on first
   /// access (cached for the rest of the timestep).
   [[nodiscard]] const sparse::DenseTensor& dense_value(int node_id);
@@ -287,7 +305,8 @@ class FunctionalNetwork {
   /// carrier (float gather kernels, or the int8 ones when planned).
   void run_sparse_conv(const LayerNode& node, std::size_t idx, Route route);
   /// Computes a spiking node's synaptic current (its conv, on the node's
-  /// route) into the dense `current` its LIF state steps on.
+  /// route) into the site-major [1, H, W, C] `current` its LIF state
+  /// steps on.
   void synaptic_current(const LayerNode& node, std::size_t idx,
                         sparse::DenseTensor& current);
   /// Densifies `sample` into `out` ([1, C, H, W]).
@@ -307,10 +326,11 @@ class FunctionalNetwork {
   std::vector<std::uint8_t> time_invariant_;
   ActivationHook activation_hook_;
   // Steady-state buffers: per-node activations, the spiking-conv synaptic
-  // current staging tensor and the kernel scratch arena are all reused
-  // across run() calls (and across the samples of a batched run).
-  // Spiking nodes fed by a timestep-invariant parent keep their t == 0
-  // current in their own kept_current_ slot instead of conv_scratch_.
+  // current staging tensor (site-major) and the kernel scratch arena are
+  // all reused across run() calls (and across the samples of a batched
+  // run). Spiking nodes fed by a timestep-invariant parent keep their
+  // t == 0 current in their own kept_current_ slot instead of
+  // conv_scratch_.
   sparse::Workspace workspace_;
   std::vector<sparse::DenseTensor> values_;
   sparse::DenseTensor conv_scratch_;
@@ -325,13 +345,16 @@ class FunctionalNetwork {
   // values_) and the per-timestep representation-validity flags.
   const ExecutionPlan* exec_plan_ = nullptr;
   std::vector<Route> node_route_;
+  // Set when weights() hands out a mutable reference: the packed slots
+  // may be out of date, so the next run repacks them.
+  bool packs_stale_ = false;
   std::vector<sparse::SparseSample> sparse_values_;
   std::vector<std::uint8_t> dense_valid_;
   std::vector<std::uint8_t> sparse_valid_;
   // Spiking nodes whose spikes feed a sparse-routed consumer this run
-  // emit COO directly (LifState::step_sparse) instead of a dense spike
-  // tensor the consumer would immediately re-scan; `spike_staging_` is
-  // the reused emission buffer.
+  // emit COO directly (LifState::step_sites' COO form) instead of a
+  // dense spike tensor the consumer would immediately re-scan;
+  // `spike_staging_` is the reused emission buffer.
   std::vector<std::uint8_t> spike_sparse_emit_;
   SpikeCoo spike_staging_;
   ExecStats exec_stats_;

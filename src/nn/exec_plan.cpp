@@ -57,9 +57,8 @@ namespace {
 
 /// Per-MAC cost of the gather tap reduction relative to dense GEMM.
 constexpr double kReduceCostFactor = 2.2;
-/// Per-MAC cost of the dense-output scatter kernel (the route narrow
-/// spiking convs take: their LIF consumer needs dense current, so the
-/// engine scatters straight into the staging tensor with no COO
+/// Per-MAC cost of the scatter kernel (the route narrow spiking convs
+/// take: it writes the site-major LIF current directly, with no COO
 /// materialization or per-site bookkeeping).
 constexpr double kScatterCostFactor = 3.0;
 /// Cost per bookkeeping element: tap enumeration (one per input non-zero
@@ -111,12 +110,14 @@ constexpr double kMargin = 1.35;
   if (dense_macs <= 0.0) return false;
   const double in_elems = static_cast<double>(ls.input_elements());
   const double out_elems = static_cast<double>(ls.output_elements());
-  // Narrow spiking convs take the dense-output scatter route (see
-  // engine / scatter_current_route): cost is the scattered multiply-adds
-  // plus the chain-head sparsify — no site bookkeeping, no densify (the
-  // dense output write replaces the dense kernel's own). Wide spiking
-  // convs fall through to the gather model below (plus its densify
-  // charge, which is exactly their CSR + densify execution).
+  // Narrow spiking convs take the scatter route (see engine /
+  // scatter_current_route): cost is the scattered multiply-adds plus the
+  // chain-head sparsify — no site bookkeeping, no densify (the current
+  // write replaces the dense kernel's own). Wide spiking convs fall
+  // through to the gather model below, densify charge included: their
+  // reduction now writes the current rows directly, but the charge (a
+  // zero-fill of the same size remains) keeps the routes the constants
+  // were fit on.
   if (domain_of(ls.kind) == Domain::kSnn && scatter_current_route(ls.conv)) {
     const double k2s = static_cast<double>(ls.conv.kernel) *
                        static_cast<double>(ls.conv.kernel) /
@@ -155,8 +156,8 @@ constexpr double kMargin = 1.35;
   const double overhead = nnz_in * k2 + est_sites * cout;
   // Boundary scans: sparsifying the input when the parent's carrier is
   // dense (chain head), and densifying the output (charged always —
-  // conservative, since the consumer's route is not known yet; spiking
-  // layers always densify for the LIF update).
+  // conservative, since the consumer's route is not known yet; a
+  // spiking layer zero-fills its dense current).
   double boundary = kDensifyCostPerElement * out_elems;
   if (chain_head) boundary += kSparsifyCostPerElement * in_elems;
   const double sparse_cost =
@@ -189,7 +190,7 @@ constexpr double kMargin = 1.35;
     // Chain head: the cost model charges the sparsify boundary unless
     // the parent is a plain conv that was itself routed sparse. A
     // spiking parent of a sparse consumer actually emits COO straight
-    // from its LIF step (step_sparse), and under run_events the event
+    // from its LIF step, and under run_events the event
     // input arrives as COO, so neither is scanned; the model still
     // charges both as chain heads, which is conservative and keeps the
     // routes its crossover constants were fit on.

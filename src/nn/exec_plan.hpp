@@ -76,12 +76,15 @@ struct PlannerOptions {
   bool allow_submanifold = false;
 };
 
-/// How a sparse-routed spiking conv materializes its dense LIF current:
-/// narrow layers scatter straight into the staging tensor (each tap
-/// touches few output planes — cache-friendly, zero bookkeeping), wide
-/// layers run the vectorized gather reduction and densify (a tap's
-/// scatter would stride across out_channels planes). Shared between the
-/// planner's cost model and the engine's dispatch so both agree.
+/// How a sparse-routed FP32 spiking conv writes its site-major
+/// [H, W, C] LIF current: narrow layers scatter each (input non-zero,
+/// tap) into its output site's row (one short contiguous row per tap,
+/// no per-site bookkeeping); wide layers run the gather reduction,
+/// whose per-site accumulators land in the site's row (past 32 output
+/// channels the reduction's blocked accumulators beat re-reading and
+/// re-writing a long row per tap). Both forms are bitwise the same
+/// current. Shared between the planner's cost model and the engine's
+/// dispatch so both agree.
 [[nodiscard]] constexpr bool scatter_current_route(
     const sparse::Conv2dSpec& conv) noexcept {
   return conv.out_channels <= 32;

@@ -289,4 +289,39 @@ std::vector<CooChannel> submanifold_conv2d(std::span<const CooChannel> input,
   return out;
 }
 
+DenseTensor lif_step(DenseTensor& membrane, const DenseTensor& current,
+                     std::span<const float> leak,
+                     std::span<const float> threshold, bool soft_reset,
+                     std::uint64_t& spikes_fired) {
+  const TensorShape& shape = membrane.shape();
+  if (!(current.shape() == shape) ||
+      leak.size() != static_cast<std::size_t>(shape.c) ||
+      threshold.size() != static_cast<std::size_t>(shape.c)) {
+    throw std::invalid_argument("reference::lif_step: shape mismatch");
+  }
+  DenseTensor spikes(shape);
+  const auto plane =
+      static_cast<std::size_t>(shape.h) * static_cast<std::size_t>(shape.w);
+  for (int n = 0; n < shape.n; ++n) {
+    for (int c = 0; c < shape.c; ++c) {
+      const float l = leak[static_cast<std::size_t>(c)];
+      const float vth = threshold[static_cast<std::size_t>(c)];
+      const std::size_t base =
+          (static_cast<std::size_t>(n) * static_cast<std::size_t>(shape.c) +
+           static_cast<std::size_t>(c)) *
+          plane;
+      for (std::size_t i = 0; i < plane; ++i) {
+        float u = membrane.data()[base + i] * l + current.data()[base + i];
+        if (u >= vth) {
+          spikes.data()[base + i] = 1.0f;
+          u = soft_reset ? u - vth : 0.0f;
+          ++spikes_fired;
+        }
+        membrane.data()[base + i] = u;
+      }
+    }
+  }
+  return spikes;
+}
+
 }  // namespace evedge::sparse::reference

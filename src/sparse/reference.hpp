@@ -48,4 +48,17 @@ namespace evedge::sparse::reference {
     std::span<const float> bias, const Conv2dSpec& spec,
     ConvWork* work = nullptr);
 
+/// The channel-major LIF step (nn::LifState's before its membrane went
+/// site-major), kept as the oracle of the site-major one: per channel
+/// plane, U = U * leak[c] + I; where U >= threshold[c] the site spikes
+/// (1.0f) and U becomes U - threshold[c] (soft reset) or 0. `membrane`
+/// and `current` are NCHW and equally shaped; `leak` and `threshold`
+/// hold one value per channel. Returns the spike tensor and adds the
+/// spike count to `spikes`.
+[[nodiscard]] DenseTensor lif_step(DenseTensor& membrane,
+                                   const DenseTensor& current,
+                                   std::span<const float> leak,
+                                   std::span<const float> threshold,
+                                   bool soft_reset, std::uint64_t& spikes);
+
 }  // namespace evedge::sparse::reference

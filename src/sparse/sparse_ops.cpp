@@ -150,6 +150,63 @@ void fill_bias_planes(float* o, std::span<const float> bias, int out_channels,
   }
 }
 
+/// out[i] += w[i] * v over one site row (the scatter route's inner
+/// loop; contiguous in the output channel, so it vectorizes). A
+/// one-channel row skips the vector loop's entry checks.
+inline void add_scaled_row(float* __restrict out, const float* __restrict w,
+                           float v, std::size_t n) noexcept {
+  if (n == 1) {
+    out[0] += w[0] * v;
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] += w[i] * v;
+}
+
+/// Scatters one sample through the kernel into the site-major rows at
+/// `rows` ([out_h * out_w][out_channels], bias already applied by the
+/// caller), against weights packed [tap offset][oc]. The loop nest is
+/// scatter_sample's — ic, entries row-major, ky, kx — so every output
+/// element sums its products in the same order. Returns the sparse MAC
+/// count.
+std::size_t scatter_rows(std::span<const CooChannel> input,
+                         const float* packed_w, const Conv2dSpec& spec,
+                         int out_h, int out_w, float* rows) {
+  const auto oc_n = static_cast<std::size_t>(spec.out_channels);
+  const auto k = static_cast<std::size_t>(spec.kernel);
+  // Output column per kx, worked out once per entry (-1: none).
+  std::vector<int> col_target(k);
+  std::size_t sparse_macs = 0;
+  for (int ic = 0; ic < spec.in_channels; ++ic) {
+    const float* w_ic = packed_w + static_cast<std::size_t>(ic) * k * k * oc_n;
+    for (const CooEntry& e : input[static_cast<std::size_t>(ic)].entries()) {
+      for (int kx = 0; kx < spec.kernel; ++kx) {
+        const int ox_num = e.col + spec.padding - kx;
+        col_target[static_cast<std::size_t>(kx)] =
+            ox_num < 0 || ox_num % spec.stride != 0 ||
+                    ox_num / spec.stride >= out_w
+                ? -1
+                : ox_num / spec.stride;
+      }
+      for (int ky = 0; ky < spec.kernel; ++ky) {
+        const int oy_num = e.row + spec.padding - ky;
+        if (oy_num < 0 || oy_num % spec.stride != 0) continue;
+        const int oy = oy_num / spec.stride;
+        if (oy >= out_h) continue;
+        float* row_y = rows + static_cast<std::size_t>(oy) *
+                                  static_cast<std::size_t>(out_w) * oc_n;
+        const float* w_ky = w_ic + static_cast<std::size_t>(ky) * k * oc_n;
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          if (col_target[kx] < 0) continue;
+          add_scaled_row(row_y + static_cast<std::size_t>(col_target[kx]) * oc_n,
+                         w_ky + kx * oc_n, e.value, oc_n);
+          sparse_macs += oc_n;
+        }
+      }
+    }
+  }
+  return sparse_macs;
+}
+
 /// Packs [oc][ic][ky][kx] weights into [tap offset][oc] layout so the
 /// per-tap lane loads in the reduction are contiguous (vectorizable).
 void pack_weights(const DenseTensor& weights, std::vector<float>& packed) {
@@ -165,9 +222,19 @@ void pack_weights(const DenseTensor& weights, std::vector<float>& packed) {
   }
 }
 
-/// Reduces the per-site tap lists in `s` against every output channel,
-/// producing per-channel entry vectors in site (row-major) order. Both
-/// threading axes execute the identical per-site accumulation and emit
+/// Where the gather reduction's per-site sums go: per-channel COO entry
+/// lists (a kConv consumer) or the site's row of a site-major current
+/// (a spiking consumer; `rows` is [out_h * out_w][out_channels], zeroed
+/// by the caller). Exactly one is set.
+struct ReduceSink {
+  std::vector<std::vector<CooEntry>>* entries = nullptr;
+  float* rows = nullptr;
+};
+
+/// Reduces the per-site tap lists in `s` against every output channel
+/// and hands each site's sums to `sink`: entries in site (row-major)
+/// order, or the site's current row. Both threading axes execute the
+/// identical per-site accumulation and write disjoint rows or emit
 /// entries in the same order, so the result is bitwise independent of
 /// the axis and the thread count. Channels are processed in blocks of 8
 /// so each tap load is amortized across 8 accumulators reading one
@@ -179,10 +246,16 @@ constexpr std::size_t kSiteChunk = 2048;
 /// per-site accumulator array lives on the stack).
 constexpr int kMaxAccum = 256;
 
+/// Writes one site's sums for channels [oc0, oc0 + lanes) into its
+/// current row. A zero sum lands as +0, as the COO sink drops it and
+/// the densified carrier reads +0 there.
+inline void store_row(float* row, const float* acc, int lanes) noexcept {
+  for (int j = 0; j < lanes; ++j) row[j] = acc[j] != 0.0f ? acc[j] : 0.0f;
+}
+
 void reduce_sites(const ConvScratch& s, const float* packed_w,
                   std::span<const float> bias, int out_channels, int out_w,
-                  SubmanifoldThreading threading,
-                  std::vector<std::vector<CooEntry>>& out_entries) {
+                  SubmanifoldThreading threading, const ReduceSink& sink) {
   const int max_threads = core::parallel_thread_count();
   const std::size_t n_sites = s.sites.size();
   const int oc_blocks = (out_channels + kOcBlock - 1) / kOcBlock;
@@ -242,6 +315,12 @@ void reduce_sites(const ConvScratch& s, const float* packed_w,
           for (int j = 0; j < lanes; ++j) acc[j] += w_row[j] * v;
         }
       }
+      if (sink.rows != nullptr) {
+        store_row(sink.rows + static_cast<std::size_t>(s.sites[si]) * oc_count +
+                      static_cast<std::size_t>(oc0),
+                  acc, lanes);
+        continue;
+      }
       const std::int32_t row = s.sites[si] / out_w;
       const std::int32_t col = s.sites[si] % out_w;
       for (int j = 0; j < lanes; ++j) {
@@ -257,33 +336,40 @@ void reduce_sites(const ConvScratch& s, const float* packed_w,
         0, oc_blocks,
         [&](int blk) {
           const int oc0 = blk * kOcBlock;
-          for (int j = oc0; j < std::min(out_channels, oc0 + kOcBlock); ++j) {
-            out_entries[static_cast<std::size_t>(j)].reserve(n_sites);
+          std::vector<CooEntry>* block_out = nullptr;
+          if (sink.entries != nullptr) {
+            block_out = sink.entries->data() + static_cast<std::size_t>(oc0);
+            for (int j = 0; j < std::min(kOcBlock, out_channels - oc0); ++j) {
+              block_out[j].reserve(n_sites);
+            }
           }
-          reduce_block(oc0, 0, n_sites,
-                       out_entries.data() + static_cast<std::size_t>(oc0));
+          reduce_block(oc0, 0, n_sites, block_out);
         },
         max_threads);
     return;
   }
 
   // Active-site axis: fixed-size chunks (deterministic partitioning that
-  // does not depend on the worker count) reduced independently, then
-  // concatenated per channel in chunk order. Each chunk walks the tap
-  // stream ONCE, accumulating every output channel against the packed
-  // (L1-resident) weight rows — per-(site, channel) arithmetic and entry
-  // order are identical to the channel-blocked walk.
+  // does not depend on the worker count) reduced independently. Each
+  // chunk walks the tap stream ONCE, accumulating every output channel
+  // against the packed (L1-resident) weight rows — per-(site, channel)
+  // arithmetic is identical to the channel-blocked walk. Rows land in
+  // place; entries are concatenated per channel in chunk order, which is
+  // the channel-blocked walk's order.
   std::vector<std::vector<std::vector<CooEntry>>> chunk_entries(
-      static_cast<std::size_t>(site_chunks));
+      sink.entries != nullptr ? static_cast<std::size_t>(site_chunks) : 0);
   const std::size_t oc_n = static_cast<std::size_t>(out_channels);
   core::parallel_for(
       0, site_chunks,
       [&](int ck) {
-        auto& per_oc = chunk_entries[static_cast<std::size_t>(ck)];
-        per_oc.resize(oc_n);
         const std::size_t s0 = static_cast<std::size_t>(ck) * kSiteChunk;
         const std::size_t s1 = std::min(n_sites, s0 + kSiteChunk);
-        for (auto& entries : per_oc) entries.reserve(s1 - s0);
+        std::vector<std::vector<CooEntry>>* per_oc = nullptr;
+        if (sink.entries != nullptr) {
+          per_oc = &chunk_entries[static_cast<std::size_t>(ck)];
+          per_oc->resize(oc_n);
+          for (auto& entries : *per_oc) entries.reserve(s1 - s0);
+        }
         float init[kMaxAccum];
         for (std::size_t j = 0; j < oc_n; ++j) {
           init[j] = bias.empty() ? 0.0f : bias[j];
@@ -306,22 +392,28 @@ void reduce_sites(const ConvScratch& s, const float* packed_w,
             }
             for (; j < oc_n; ++j) acc[j] += w_row[j] * v;
           }
+          if (per_oc == nullptr) {
+            store_row(sink.rows + static_cast<std::size_t>(s.sites[si]) * oc_n,
+                      acc, out_channels);
+            continue;
+          }
           const std::int32_t row = s.sites[si] / out_w;
           const std::int32_t col = s.sites[si] % out_w;
           for (std::size_t j = 0; j < oc_n; ++j) {
             if (acc[j] != 0.0f) {
-              per_oc[j].push_back(CooEntry{row, col, acc[j]});
+              (*per_oc)[j].push_back(CooEntry{row, col, acc[j]});
             }
           }
         }
       },
       max_threads);
+  if (sink.entries == nullptr) return;
   for (int oc = 0; oc < out_channels; ++oc) {
     std::size_t total = 0;
     for (const auto& per_oc : chunk_entries) {
       total += per_oc[static_cast<std::size_t>(oc)].size();
     }
-    auto& dst = out_entries[static_cast<std::size_t>(oc)];
+    auto& dst = (*sink.entries)[static_cast<std::size_t>(oc)];
     dst.reserve(total);
     for (const auto& per_oc : chunk_entries) {
       const auto& src = per_oc[static_cast<std::size_t>(oc)];
@@ -491,14 +583,18 @@ void clear_scratch_impl(std::span<const CooChannel> input, ConvScratch& s) {
 }
 
 /// Gather-kernel core shared by submanifold_conv2d (stride-1, output
-/// sites = input active sites) and sparse_conv2d_csr (strided, output
-/// sites = scatter targets of the input non-zeros): build the site/tap
-/// lists, reduce them against every output channel, restore the scratch.
+/// sites = input active sites) and sparse_conv2d_csr /
+/// sparse_conv2d_csr_rows (strided, output sites = scatter targets of
+/// the input non-zeros): build the site/tap lists, reduce them against
+/// every output channel, restore the scratch. With `rows` null the sums
+/// come back as per-channel COO; otherwise they land in `rows`,
+/// reshaped to the site-major [1, out_h, out_w, out_channels] current
+/// (sites no tap reaches hold 0), and the returned vector is empty.
 std::vector<CooChannel> gather_conv_sample(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
     ConvScratch& s, SubmanifoldThreading threading, ConvWork* work,
-    const float* shared_packed_w) {
+    const float* shared_packed_w, DenseTensor* rows = nullptr) {
   const GatherGeometry geo = build_taps_impl(input, spec, submanifold, s);
 
   const std::size_t sparse_macs =
@@ -509,20 +605,30 @@ std::vector<CooChannel> gather_conv_sample(
     pack_weights(weights, s.packed_w);
     packed_w = s.packed_w.data();
   }
-  std::vector<std::vector<CooEntry>> out_entries(
-      static_cast<std::size_t>(spec.out_channels));
+  std::vector<std::vector<CooEntry>> out_entries;
+  ReduceSink sink;
+  if (rows != nullptr) {
+    rows->reset(TensorShape{1, geo.out_h, geo.out_w, spec.out_channels});
+    std::fill(rows->raw(), rows->raw() + rows->size(), 0.0f);
+    sink.rows = rows->raw();
+  } else {
+    out_entries.resize(static_cast<std::size_t>(spec.out_channels));
+    sink.entries = &out_entries;
+  }
   reduce_sites(s, packed_w, bias, spec.out_channels, geo.out_w, threading,
-               out_entries);
+               sink);
 
   clear_scratch_impl(input, s);
 
   std::vector<CooChannel> out;
-  out.reserve(static_cast<std::size_t>(spec.out_channels));
-  for (auto& entries : out_entries) {
-    // Entries were produced in site (row-major) order, unique and
-    // non-zero — adopt them without the from_entries sort/dedup pass.
-    out.push_back(CooChannel::from_sorted_entries(geo.out_h, geo.out_w,
-                                                  std::move(entries)));
+  if (rows == nullptr) {
+    out.reserve(static_cast<std::size_t>(spec.out_channels));
+    for (auto& entries : out_entries) {
+      // Entries were produced in site (row-major) order, unique and
+      // non-zero — adopt them without the from_entries sort/dedup pass.
+      out.push_back(CooChannel::from_sorted_entries(geo.out_h, geo.out_w,
+                                                    std::move(entries)));
+    }
   }
   if (work != nullptr) {
     work->dense_macs += dense_mac_count(spec, geo.out_h, geo.out_w);
@@ -550,28 +656,21 @@ std::vector<CooChannel> gather_conv_sample(
 
 }  // namespace
 
-void sparse_conv2d_into(std::span<const CooChannel> input,
-                        const DenseTensor& weights,
-                        std::span<const float> bias, const Conv2dSpec& spec,
-                        DenseTensor& out, ConvWork* work) {
+DenseTensor sparse_conv2d(std::span<const CooChannel> input,
+                          const DenseTensor& weights,
+                          std::span<const float> bias, const Conv2dSpec& spec,
+                          ConvWork* work) {
   validate_conv_inputs(input, weights, bias, spec);
-  const int in_h = input[0].height();
-  const int in_w = input[0].width();
-  const int out_h = conv_out_extent(in_h, spec.kernel, spec.stride,
-                                    spec.padding);
-  const int out_w = conv_out_extent(in_w, spec.kernel, spec.stride,
-                                    spec.padding);
+  const int out_h = conv_out_extent(input[0].height(), spec.kernel,
+                                    spec.stride, spec.padding);
+  const int out_w = conv_out_extent(input[0].width(), spec.kernel,
+                                    spec.stride, spec.padding);
 
-  out.reset(TensorShape{1, spec.out_channels, out_h, out_w});
+  DenseTensor out(TensorShape{1, spec.out_channels, out_h, out_w});
   const std::size_t out_plane =
       static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
   float* o = out.raw();
-  if (bias.empty()) {
-    // reset() leaves the buffer unspecified — scatter needs zeros.
-    std::fill(o, o + out.size(), 0.0f);
-  } else {
-    fill_bias_planes(o, bias, spec.out_channels, out_plane);
-  }
+  fill_bias_planes(o, bias, spec.out_channels, out_plane);
 
   // weights are [oc][ic][ky][kx]: fixing (ic, ky, kx) leaves a constant
   // oc-stride walk of Cin*k*k elements.
@@ -585,15 +684,47 @@ void sparse_conv2d_into(std::span<const CooChannel> input,
     for (const CooChannel& ch : input) nnz_in += ch.nnz();
     work->nnz_in += nnz_in;
   }
+  return out;
 }
 
-DenseTensor sparse_conv2d(std::span<const CooChannel> input,
-                          const DenseTensor& weights,
-                          std::span<const float> bias, const Conv2dSpec& spec,
-                          ConvWork* work) {
-  DenseTensor out;
-  sparse_conv2d_into(input, weights, bias, spec, out, work);
-  return out;
+void sparse_conv2d_rows(std::span<const CooChannel> input,
+                        const DenseTensor& weights,
+                        std::span<const float> bias, const Conv2dSpec& spec,
+                        std::span<const float> packed_weights,
+                        DenseTensor& current, ConvWork* work) {
+  validate_conv_inputs(input, weights, bias, spec);
+  const float* packed_w = check_prepacked(packed_weights, weights);
+  if (packed_w == nullptr) {
+    throw std::invalid_argument("sparse_conv2d_rows: packed_weights required");
+  }
+  const int out_h = conv_out_extent(input[0].height(), spec.kernel,
+                                    spec.stride, spec.padding);
+  const int out_w = conv_out_extent(input[0].width(), spec.kernel,
+                                    spec.stride, spec.padding);
+  current.reset(TensorShape{1, out_h, out_w, spec.out_channels});
+  float* rows = current.raw();
+  if (bias.empty()) {
+    std::fill(rows, rows + current.size(), 0.0f);
+  } else {
+    // Every site row starts as the bias: write the first, then double
+    // the filled prefix (one copy call per doubling, not per site).
+    std::copy(bias.begin(), bias.end(), rows);
+    for (std::size_t filled = bias.size(); filled < current.size();) {
+      const std::size_t n = std::min(filled, current.size() - filled);
+      std::copy(rows, rows + n, rows + filled);
+      filled += n;
+    }
+  }
+  const std::size_t sparse_macs =
+      scatter_rows(input, packed_w, spec, out_h, out_w, rows);
+
+  if (work != nullptr) {
+    work->dense_macs += dense_mac_count(spec, out_h, out_w);
+    work->sparse_macs += sparse_macs;
+    std::size_t nnz_in = 0;
+    for (const CooChannel& ch : input) nnz_in += ch.nnz();
+    work->nnz_in += nnz_in;
+  }
 }
 
 std::vector<CooChannel> submanifold_conv2d(std::span<const CooChannel> input,
@@ -623,6 +754,20 @@ std::vector<CooChannel> sparse_conv2d_csr(std::span<const CooChannel> input,
   return gather_conv_sample(input, weights, bias, spec, /*submanifold=*/false,
                             arena.scratch(), threading, work,
                             check_prepacked(packed_weights, weights));
+}
+
+void sparse_conv2d_csr_rows(std::span<const CooChannel> input,
+                            const DenseTensor& weights,
+                            std::span<const float> bias,
+                            const Conv2dSpec& spec, DenseTensor& current,
+                            ConvWork* work, Workspace* workspace,
+                            SubmanifoldThreading threading,
+                            std::span<const float> packed_weights) {
+  validate_conv_inputs(input, weights, bias, spec);
+  Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
+  (void)gather_conv_sample(input, weights, bias, spec, /*submanifold=*/false,
+                           arena.scratch(), threading, work,
+                           check_prepacked(packed_weights, weights), &current);
 }
 
 void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed) {
@@ -696,6 +841,29 @@ void channels_into_slice(std::span<const CooChannel> channels,
     for (const CooEntry& e : channels[c].entries()) {
       p[static_cast<std::size_t>(e.row) * static_cast<std::size_t>(s.w) +
         static_cast<std::size_t>(e.col)] = e.value;
+    }
+  }
+}
+
+void channels_into_rows(std::span<const CooChannel> channels,
+                        DenseTensor& rows) {
+  if (channels.empty()) {
+    throw std::invalid_argument("channels_into_rows: empty input");
+  }
+  const int h = channels[0].height();
+  const int w = channels[0].width();
+  rows.reset(TensorShape{1, h, w, static_cast<int>(channels.size())});
+  std::fill(rows.raw(), rows.raw() + rows.size(), 0.0f);
+  const std::size_t c_count = channels.size();
+  for (std::size_t c = 0; c < c_count; ++c) {
+    if (channels[c].height() != h || channels[c].width() != w) {
+      throw std::invalid_argument("channels_into_rows: extent mismatch");
+    }
+    for (const CooEntry& e : channels[c].entries()) {
+      rows.raw()[(static_cast<std::size_t>(e.row) * static_cast<std::size_t>(w) +
+                  static_cast<std::size_t>(e.col)) *
+                     c_count +
+                 c] = e.value;
     }
   }
 }

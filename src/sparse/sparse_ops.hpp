@@ -62,14 +62,20 @@ struct ConvWork {
                                         const Conv2dSpec& spec,
                                         ConvWork* work = nullptr);
 
-/// Allocation-free steady-state variant of sparse_conv2d: writes into
-/// `out`, reusing its buffer when capacity allows (the engine's
-/// spiking-current staging path — a sparse-routed spiking conv scatters
-/// straight into the dense LIF input, no COO materialization).
-void sparse_conv2d_into(std::span<const CooChannel> input,
+/// Site-major twin of sparse_conv2d, the spiking scatter route: writes
+/// `current`, reshaped to [1, out_h, out_w, out_channels]
+/// (site_major; allocation reused), by scattering each (input non-zero,
+/// tap) into its output site's row against weights packed [tap
+/// offset][oc]. Each element sums its bias, then its products in
+/// sparse_conv2d's order (ic, entries row-major, ky, kx), so `current`
+/// is bitwise the site-major transposition of sparse_conv2d's output.
+/// `packed_weights` must be pack_conv_weights(weights) (the gather
+/// route's layout; callers pack once per layer).
+void sparse_conv2d_rows(std::span<const CooChannel> input,
                         const DenseTensor& weights,
                         std::span<const float> bias, const Conv2dSpec& spec,
-                        DenseTensor& out, ConvWork* work = nullptr);
+                        std::span<const float> packed_weights,
+                        DenseTensor& current, ConvWork* work = nullptr);
 
 /// Submanifold sparse convolution (stride 1 only): output non-zeros are
 /// restricted to the union of input active sites, preventing dilation of
@@ -98,6 +104,20 @@ void sparse_conv2d_into(std::span<const CooChannel> input,
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec,
     ConvWork* work = nullptr, Workspace* workspace = nullptr,
+    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
+    std::span<const float> packed_weights = {});
+
+/// Site-major sink of sparse_conv2d_csr, the spiking gather route: the
+/// same reduction, with each active site's per-channel sums written to
+/// its row of `current`, reshaped to [1, out_h, out_w, out_channels]
+/// (allocation reused); sites no tap reaches hold 0. Bitwise the
+/// site-major densification of sparse_conv2d_csr's output, for any
+/// threading axis and thread count. Arguments as in sparse_conv2d_csr.
+void sparse_conv2d_csr_rows(
+    std::span<const CooChannel> input, const DenseTensor& weights,
+    std::span<const float> bias, const Conv2dSpec& spec,
+    DenseTensor& current, ConvWork* work = nullptr,
+    Workspace* workspace = nullptr,
     SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
     std::span<const float> packed_weights = {});
 
@@ -156,6 +176,13 @@ void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed);
 /// already have the matching [N, C, H, W] shape.
 void channels_into_slice(std::span<const CooChannel> channels,
                          DenseTensor& dense, int n);
+
+/// Densifies `channels` into site-major rows: `rows` is reshaped to
+/// [1, H, W, C] (allocation reused), zero-filled, and each stored entry
+/// written to its site's row (a COO synaptic current crossing into the
+/// LIF step's layout).
+void channels_into_rows(std::span<const CooChannel> channels,
+                        DenseTensor& rows);
 
 /// Sparse ReLU over a whole sample (prune_negative per channel).
 void relu_sample_inplace(SparseSample& sample) noexcept;

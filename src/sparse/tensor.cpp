@@ -95,6 +95,24 @@ void copy_sample(const DenseTensor& src, int n, DenseTensor& out) {
   std::copy(from, from + block, out.raw());
 }
 
+void to_site_major(const DenseTensor& src, DenseTensor& dst) {
+  const TensorShape& s = src.shape();
+  dst.reset(site_major(s));
+  const std::size_t plane = src.stride_c();
+  const auto channels = static_cast<std::size_t>(s.c);
+  for (int n = 0; n < s.n; ++n) {
+    const float* from = src.raw() + static_cast<std::size_t>(n) * src.stride_n();
+    float* to = dst.raw() + static_cast<std::size_t>(n) * src.stride_n();
+    // Sites outer: the writes stream contiguously and each of the C
+    // plane reads advances one element per site.
+    for (std::size_t i = 0; i < plane; ++i) {
+      for (std::size_t c = 0; c < channels; ++c) {
+        to[i * channels + c] = from[c * plane + i];
+      }
+    }
+  }
+}
+
 float max_abs_diff(const DenseTensor& a, const DenseTensor& b) {
   require_same_shape(a, b);
   float m = 0.0f;

@@ -28,6 +28,13 @@ struct TensorShape {
 /// Throws std::invalid_argument unless all extents are positive.
 void validate_shape(const TensorShape& shape);
 
+/// The site-major twin of an NCHW shape: [N, H, W, C], held in
+/// TensorShape's (n, c, h, w) fields in that order, so a site-major
+/// tensor's at(n, y, x, c) reads channel c of site (y, x).
+[[nodiscard]] constexpr TensorShape site_major(const TensorShape& s) noexcept {
+  return TensorShape{s.n, s.h, s.w, s.c};
+}
+
 /// Row-major NCHW dense float tensor with value semantics.
 class DenseTensor {
  public:
@@ -90,6 +97,10 @@ class DenseTensor {
 /// Copies batch lane `n` of `src` into `out` as a [1, C, H, W] tensor
 /// (reusing `out`'s allocation when possible).
 void copy_sample(const DenseTensor& src, int n, DenseTensor& out);
+
+/// Transposes NCHW `src` into site-major `dst`, reshaped to
+/// site_major(src.shape()) with its allocation reused.
+void to_site_major(const DenseTensor& src, DenseTensor& dst);
 
 /// Largest absolute elementwise difference; shapes must match.
 [[nodiscard]] float max_abs_diff(const DenseTensor& a, const DenseTensor& b);

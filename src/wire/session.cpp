@@ -303,7 +303,12 @@ void WireReceiver::handle(const Framed& framed, Transport& transport) {
   switch (header.type) {
     case PacketType::kHello: {
       ++stats_.control_packets;
-      if (have_hello_) return;  // idempotent across reconnects
+      if (have_hello_) {
+        // Idempotent across reconnects. Past end-of-stream a hello can
+        // only come from a sender that missed the final ack: answer it.
+        if (eos_) send_ack(transport);
+        return;
+      }
       StreamHeader sh;
       if (!decode_hello(framed.payload, sh)) return;
       stream_header_ = sh;
@@ -386,12 +391,20 @@ void WireReceiver::handle(const Framed& framed, Transport& transport) {
 
 ServeOutcome WireReceiver::serve(Transport& transport) {
   framer_.reset();  // new byte stream: frame from a clean slate
+  // A session already past end-of-stream has nothing left to accept,
+  // but its sender may have lost the final ack and reconnected for it:
+  // answer (hello, resume, duplicate data) with the final cumulative
+  // ack until the peer closes.
+  const bool answering = eos_;
   auto last_activity = Clock::now();
   std::uint8_t rbuf[kRecvChunk];
-  while (!eos_) {
+  while (answering || !eos_) {
     const std::ptrdiff_t n =
         transport.recv_some(rbuf, sizeof rbuf, config_.read_timeout);
-    if (n < 0) return ServeOutcome::kPeerClosed;
+    if (n < 0) {
+      return answering ? ServeOutcome::kEndOfStream
+                       : ServeOutcome::kPeerClosed;
+    }
     if (n == 0) {
       if (Clock::now() - last_activity > config_.stall_timeout) {
         return ServeOutcome::kStalled;

@@ -166,7 +166,12 @@ class WireReceiver {
 
   /// Pumps one connection until end-of-stream, link death, or stall.
   /// Call again with the replacement transport after a reconnect — the
-  /// session state (next seq, unwrapper, stats) carries across.
+  /// session state (next seq, unwrapper, stats) carries across. Called
+  /// once the session is past end-of-stream, it answers the sender
+  /// (hello, resume, duplicate data) with the final cumulative ack
+  /// until the peer closes (kEndOfStream) or stalls: a sender whose
+  /// final ack was lost reconnects for it, so completion does not
+  /// depend on linger()'s window.
   [[nodiscard]] ServeOutcome serve(Transport& transport);
 
   /// Post-end-of-stream grace: the final cumulative ack may still be

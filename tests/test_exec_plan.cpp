@@ -13,18 +13,22 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/batch_executor.hpp"
 #include "nn/engine.hpp"
 #include "nn/exec_plan.hpp"
+#include "nn/kernels.hpp"
 #include "nn/zoo.hpp"
 #include "quant/accuracy.hpp"
 #include "quant/calibrate.hpp"
 #include "quant/quantizer.hpp"
+#include "sparse/reference.hpp"
 #include "sparse/sparse_frame.hpp"
 #include "sparse/sparse_ops.hpp"
 
@@ -1153,4 +1157,387 @@ TEST(RunEvents, RejectsMalformedSamples) {
       es::CooChannel::from_sorted_entries(in.h, in.w, {{0, 0, 0.0f}});
   rejects(stored_zero);
   EXPECT_THROW((void)net.run_events({}), std::invalid_argument);
+}
+
+// ------------------------------------- seeded spiking differential suite
+//
+// Random single spiking layers and two-layer chains: kernel 1-7, stride
+// 1-2, padding 0..k-1 (shape-valid draws only), Cin 1-40, Cout from
+// {1, 2, 3-31, 32, 33, 34-140} so both sides of the 32-channel
+// scatter/gather split are drawn, shared and per-channel LIF, soft and
+// hard reset, 1-4 timesteps, 1-2 samples, over empty, single-event,
+// ~2% and ~20% dense inputs. Every spiking node is routed kCsr, so
+// narrow layers take the site-major scatter and wide ones the gather
+// reduction's row sink.
+
+namespace {
+
+constexpr int kDiffCases = 200;
+/// Dense MACs one layer may cost per timestep; draws above it are
+/// redrawn, which keeps the suite quick under the sanitizers.
+constexpr std::size_t kDiffMacBudget = 150'000;
+
+struct DiffCase {
+  en::NetworkSpec spec;
+  std::vector<int> spiking;  ///< node ids of the spiking layers
+  int batch = 1;
+  std::vector<int> fills;    ///< per lane: 0 empty, 1 one event, 2 ~2%, 3 ~20%
+};
+
+[[nodiscard]] int draw_out_channels(std::mt19937_64& rng) {
+  switch (std::uniform_int_distribution<int>(0, 5)(rng)) {
+    case 0: return 1;
+    case 1: return 2;
+    case 2: return std::uniform_int_distribution<int>(3, 31)(rng);
+    case 3: return 32;
+    case 4: return 33;
+    default: return std::uniform_int_distribution<int>(34, 140)(rng);
+  }
+}
+
+/// One random case, or nothing when the draw is shape-invalid or over
+/// the MAC budget.
+[[nodiscard]] std::optional<DiffCase> draw_case(std::mt19937_64& rng) {
+  const auto uni = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  DiffCase dc;
+  en::NetworkSpec& net = dc.spec;
+  net.name = "spiking-diff";
+  net.timesteps = uni(1, 4);
+  net.n_bins = net.timesteps;
+  en::NetworkGraph& g = net.graph;
+  int h = uni(1, 16);
+  int w = uni(1, 16);
+  int cin = uni(1, 40);
+  int prev = g.add_input("events", en::TensorShape{1, cin, h, w});
+  const int layers = uni(1, 2);
+  for (int l = 0; l < layers; ++l) {
+    const int k = uni(1, 7);
+    const int stride = uni(1, 2);
+    const int pad = uni(0, k - 1);
+    if (h + 2 * pad < k || w + 2 * pad < k) return std::nullopt;
+    const int cout = draw_out_channels(rng);
+    const int oh = es::conv_out_extent(h, k, stride, pad);
+    const int ow = es::conv_out_extent(w, k, stride, pad);
+    if (static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow) *
+            static_cast<std::size_t>(cout * cin * k * k) >
+        kDiffMacBudget) {
+      return std::nullopt;
+    }
+    en::LayerSpec ls;
+    ls.name = "s" + std::to_string(l);
+    ls.kind = uni(0, 1) == 0 ? en::LayerKind::kSpikingConv
+                             : en::LayerKind::kAdaptiveSpikingConv;
+    ls.conv = es::Conv2dSpec{cin, cout, k, stride, pad};
+    ls.lif = en::LifParams{
+        std::uniform_real_distribution<float>(0.5f, 1.0f)(rng),
+        std::uniform_real_distribution<float>(0.05f, 0.8f)(rng),
+        uni(0, 1) == 0};
+    prev = g.add_layer(ls, {prev});
+    dc.spiking.push_back(prev);
+    h = oh;
+    w = ow;
+    cin = cout;
+  }
+  en::LayerSpec out;
+  out.name = "out";
+  out.kind = en::LayerKind::kOutput;
+  g.add_layer(out, {prev});
+  g.validate();
+  dc.batch = uni(1, 2);
+  for (int n = 0; n < dc.batch; ++n) dc.fills.push_back(uni(0, 3));
+  return dc;
+}
+
+/// A COO event sample of shape `in`: no entry, one entry, or entries at
+/// about 2% / 20% of the sites, with non-zero values of either sign.
+[[nodiscard]] es::SparseSample draw_sample(const es::TensorShape& in,
+                                           int fill, std::mt19937_64& rng) {
+  std::uniform_real_distribution<float> magnitude(0.25f, 2.0f);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const double keep = fill == 2 ? 0.02 : 0.2;
+  const int one_c = std::uniform_int_distribution<int>(0, in.c - 1)(rng);
+  const int one_y = std::uniform_int_distribution<int>(0, in.h - 1)(rng);
+  const int one_x = std::uniform_int_distribution<int>(0, in.w - 1)(rng);
+  es::SparseSample sample;
+  for (int c = 0; c < in.c; ++c) {
+    std::vector<es::CooEntry> entries;
+    for (int y = 0; y < in.h; ++y) {
+      for (int x = 0; x < in.w; ++x) {
+        const bool take = fill == 1 ? (c == one_c && y == one_y && x == one_x)
+                                    : fill >= 2 && coin(rng) < keep;
+        if (!take) continue;
+        const float v = magnitude(rng);
+        entries.push_back(es::CooEntry{y, x, coin(rng) < 0.5 ? v : -v});
+      }
+    }
+    sample.push_back(
+        es::CooChannel::from_sorted_entries(in.h, in.w, std::move(entries)));
+  }
+  return sample;
+}
+
+/// The [N, C, H, W] dense step holding `samples` as its lanes.
+[[nodiscard]] es::DenseTensor dense_step(
+    const std::vector<es::SparseSample>& samples, const es::TensorShape& in) {
+  es::DenseTensor step(es::TensorShape{static_cast<int>(samples.size()), in.c,
+                                       in.h, in.w});
+  for (std::size_t n = 0; n < samples.size(); ++n) {
+    es::channels_into_slice(samples[n], step, static_cast<int>(n));
+  }
+  return step;
+}
+
+}  // namespace
+
+// Planned run_events and planned run_batched are byte-equal to
+// unplanned run_batched, in FP32 and with a real int8 plan (its sparse
+// int8 kernels against its dense ones).
+TEST(SpikingDifferential, PlannedRunsMatchDenseBytewise) {
+  std::mt19937_64 rng(20240521);
+  int drawn = 0;
+  int narrow = 0;
+  int wide = 0;
+  int spiking_outputs = 0;
+  while (drawn < kDiffCases) {
+    const std::optional<DiffCase> dc = draw_case(rng);
+    if (!dc) continue;
+    ++drawn;
+    const en::NetworkSpec& spec = dc->spec;
+    for (const int id : dc->spiking) {
+      (en::scatter_current_route(spec.graph.node(id).spec.conv) ? narrow
+                                                                : wide)++;
+    }
+    const es::TensorShape in =
+        spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
+    std::vector<es::SparseSample> samples;
+    for (const int fill : dc->fills) samples.push_back(draw_sample(in, fill, rng));
+    // Constant steps (what run_events presents) and steps drawn afresh
+    // at every timestep.
+    const std::vector<es::DenseTensor> same(
+        static_cast<std::size_t>(spec.timesteps), dense_step(samples, in));
+    std::vector<es::DenseTensor> varying;
+    for (int t = 0; t < spec.timesteps; ++t) {
+      std::vector<es::SparseSample> lanes;
+      for (const int fill : dc->fills) lanes.push_back(draw_sample(in, fill, rng));
+      varying.push_back(dense_step(lanes, in));
+    }
+    const std::string where = "case " + std::to_string(drawn);
+
+    en::FunctionalNetwork net(spec, static_cast<std::uint64_t>(drawn));
+    const es::DenseTensor want_same = net.run_batched(same);
+    const es::DenseTensor want_varying = net.run_batched(varying);
+    if (want_same.count_nonzero() > 0) ++spiking_outputs;
+    const en::ExecutionPlan plan = all_csr_plan(spec, dc->spiking);
+    net.set_execution_plan(&plan);
+    EXPECT_TRUE(same_bytes(net.run_events(samples), want_same)) << where;
+    EXPECT_TRUE(same_bytes(net.run_batched(varying), want_varying)) << where;
+    EXPECT_TRUE(same_bytes(net.run_batched(same), want_same)) << where;
+
+    net.set_execution_plan(nullptr);
+    eq::ValidationSample calib;
+    calib.event_steps.assign(
+        static_cast<std::size_t>(spec.timesteps),
+        dense_step({draw_sample(in, 3, rng)}, in));
+    const auto table = eq::calibrate_activations(net, {&calib, 1});
+    eq::QuantPlanOptions all_layers;
+    all_layers.quantize_input_layer = true;
+    const eq::QuantPlan int8 = eq::build_quant_plan(
+        net, eq::uniform_assignment(spec, eq::Precision::kInt8), table,
+        /*simulate=*/false, eq::WeightGranularity::kPerChannel, all_layers);
+    net.set_quant_plan(&int8);
+    const es::DenseTensor int8_dense = net.run_batched(same);
+    net.set_execution_plan(&plan);
+    EXPECT_TRUE(same_bytes(net.run_events(samples), int8_dense)) << where;
+    net.set_execution_plan(nullptr);
+    net.set_quant_plan(nullptr);
+  }
+  // Both sides of the split were drawn, many times, and most cases
+  // spike at their output.
+  EXPECT_GT(narrow, 50);
+  EXPECT_GT(wide, 30);
+  EXPECT_GT(spiking_outputs, kDiffCases / 4);
+}
+
+// The site-major current kernels at the suite's layer shapes: the
+// scatter (sparse_conv2d_rows) and the gather row sink
+// (sparse_conv2d_csr_rows, on either threading axis) both write exactly
+// the dense conv's output transposed into rows. Spikes threshold the
+// current, so a one-ulp change in summation order rarely shows at a
+// network's output; this pins it at the current itself.
+TEST(SpikingDifferential, SiteMajorCurrentsMatchDenseConv) {
+  std::mt19937_64 rng(4242);
+  int drawn = 0;
+  while (drawn < kDiffCases) {
+    const std::optional<DiffCase> dc = draw_case(rng);
+    if (!dc) continue;
+    ++drawn;
+    for (const int id : dc->spiking) {
+      const en::LayerSpec& ls = dc->spec.graph.node(id).spec;
+      const es::SparseSample input =
+          draw_sample(ls.in_shape, dc->fills.front(), rng);
+      es::DenseTensor weights(es::TensorShape{
+          ls.conv.out_channels, ls.conv.in_channels, ls.conv.kernel,
+          ls.conv.kernel});
+      weights.fill_random(rng(), 0.5f);
+      std::vector<float> packed;
+      es::pack_conv_weights(weights, packed);
+      es::DenseTensor want;
+      es::to_site_major(
+          en::conv2d(dense_step({input}, ls.in_shape), weights, {}, ls.conv),
+          want);
+      const std::string where =
+          "case " + std::to_string(drawn) + " " + ls.name;
+      es::DenseTensor rows;
+      es::sparse_conv2d_rows(input, weights, {}, ls.conv, packed, rows);
+      EXPECT_TRUE(same_bytes(rows, want)) << where << " scatter";
+      for (const auto axis : {es::SubmanifoldThreading::kAuto,
+                              es::SubmanifoldThreading::kOutputChannels,
+                              es::SubmanifoldThreading::kActiveSites}) {
+        es::sparse_conv2d_csr_rows(input, weights, {}, ls.conv, rows, nullptr,
+                                   nullptr, axis, packed);
+        EXPECT_TRUE(same_bytes(rows, want))
+            << where << " gather axis " << static_cast<int>(axis);
+      }
+    }
+  }
+}
+
+// LifState's site-major step — through every entry point — against the
+// channel-major oracle (reference::lif_step) at the suite's layer
+// shapes: spikes and membranes byte-equal, equal firing rates.
+TEST(SpikingDifferential, LifStateMatchesChannelMajorOracle) {
+  std::mt19937_64 rng(777);
+  int drawn = 0;
+  while (drawn < kDiffCases) {
+    const std::optional<DiffCase> dc = draw_case(rng);
+    if (!dc) continue;
+    ++drawn;
+    for (const int id : dc->spiking) {
+      const en::LayerSpec& ls = dc->spec.graph.node(id).spec;
+      const es::TensorShape shape{dc->batch, ls.out_shape.c, ls.out_shape.h,
+                                  ls.out_shape.w};
+      const auto channels = static_cast<std::size_t>(shape.c);
+      std::vector<float> leak(channels, ls.lif.leak);
+      std::vector<float> vth(channels, ls.lif.v_threshold);
+      std::vector<float> per_leak;
+      std::vector<float> per_vth;
+      if (ls.kind == en::LayerKind::kAdaptiveSpikingConv) {
+        for (std::size_t c = 0; c < channels; ++c) {
+          leak[c] = std::uniform_real_distribution<float>(0.5f, 1.0f)(rng);
+          vth[c] = std::uniform_real_distribution<float>(0.05f, 0.8f)(rng);
+        }
+        per_leak = leak;
+        per_vth = vth;
+      }
+      en::LifState nchw(shape, ls.lif, per_leak, per_vth);
+      en::LifState nchw_coo = nchw;
+      en::LifState sites = nchw;
+      en::LifState sites_coo = nchw;
+      es::DenseTensor oracle_membrane(shape);
+      std::uint64_t oracle_spikes = 0;
+      const std::string where =
+          "case " + std::to_string(drawn) + " " + ls.name;
+      for (int t = 0; t < dc->spec.timesteps; ++t) {
+        es::DenseTensor current(shape);
+        current.fill_random(rng(), 1.0f);
+        // Zero runs as a sparse conv leaves them (untouched sites).
+        for (float& v : current.data()) {
+          if (std::uniform_int_distribution<int>(0, 2)(rng) == 0) v = 0.0f;
+        }
+        es::DenseTensor rows;
+        es::to_site_major(current, rows);
+        const es::DenseTensor want = es::reference::lif_step(
+            oracle_membrane, current, leak, vth, ls.lif.soft_reset,
+            oracle_spikes);
+        es::DenseTensor want_membrane;
+        es::to_site_major(oracle_membrane, want_membrane);
+
+        EXPECT_TRUE(same_bytes(nchw.step(current), want)) << where;
+        es::DenseTensor got;
+        sites.step_sites(rows, got);
+        EXPECT_TRUE(same_bytes(got, want)) << where;
+        en::SpikeCoo coo;
+        en::SpikeCoo coo_sites;
+        nchw_coo.step_sparse(current, coo);
+        sites_coo.step_sites(rows, coo_sites);
+        EXPECT_EQ(coo, coo_sites) << where;
+        es::DenseTensor from_coo(shape);
+        for (int n = 0; n < shape.n; ++n) {
+          es::SparseSample lane;
+          for (auto& entries : coo[static_cast<std::size_t>(n)]) {
+            lane.push_back(es::CooChannel::from_sorted_entries(
+                shape.h, shape.w, entries));
+            EXPECT_NO_THROW(lane.back().validate()) << where;
+          }
+          es::channels_into_slice(lane, from_coo, n);
+        }
+        EXPECT_TRUE(same_bytes(from_coo, want)) << where;
+        for (const en::LifState* lif : {&nchw, &nchw_coo, &sites, &sites_coo}) {
+          EXPECT_TRUE(same_bytes(lif->membrane(), want_membrane)) << where;
+        }
+      }
+      const double rate =
+          static_cast<double>(oracle_spikes) /
+          (static_cast<double>(shape.element_count()) * dc->spec.timesteps);
+      for (const en::LifState* lif : {&nchw, &nchw_coo, &sites, &sites_coo}) {
+        EXPECT_EQ(lif->mean_firing_rate(), rate) << where;
+      }
+    }
+  }
+}
+
+// Weight rows are packed when a plan is installed. Editing weights
+// through the non-const accessor afterwards repacks them before the
+// next run, so every sparse form — a kConv's COO gather, a wide spiking
+// layer's gather rows, a narrow one's scatter — still matches dense
+// execution byte for byte.
+TEST(ExecutionPlan, WeightEditAfterInstallRepacks) {
+  en::NetworkSpec spec;
+  spec.name = "repack";
+  spec.timesteps = 3;
+  spec.n_bins = 3;
+  en::NetworkGraph& g = spec.graph;
+  const int in = g.add_input("events", en::TensorShape{1, 2, 24, 28});
+  en::LayerSpec conv;
+  conv.name = "conv";
+  conv.kind = en::LayerKind::kConv;
+  conv.conv = es::Conv2dSpec{2, 40, 3, 1, 1};
+  const int n1 = g.add_layer(conv, {in});
+  en::LayerSpec wide;
+  wide.name = "wide";
+  wide.kind = en::LayerKind::kAdaptiveSpikingConv;
+  wide.conv = es::Conv2dSpec{40, 48, 3, 2, 1};
+  wide.lif = en::LifParams{0.9f, 0.3f, true};
+  const int n2 = g.add_layer(wide, {n1});
+  en::LayerSpec narrow = wide;
+  narrow.name = "narrow";
+  narrow.kind = en::LayerKind::kSpikingConv;
+  narrow.conv = es::Conv2dSpec{48, 8, 3, 1, 1};
+  const int n3 = g.add_layer(narrow, {n2});
+  en::LayerSpec out;
+  out.name = "out";
+  out.kind = en::LayerKind::kOutput;
+  g.add_layer(out, {n3});
+  g.validate();
+
+  std::mt19937_64 rng(5);
+  const es::TensorShape in_shape = g.node(in).spec.out_shape;
+  const std::vector<es::DenseTensor> steps(
+      3, dense_step({draw_sample(in_shape, 3, rng)}, in_shape));
+  en::FunctionalNetwork net(spec, 11);
+  const en::ExecutionPlan plan = all_csr_plan(spec, {n1, n2, n3});
+  net.set_execution_plan(&plan);
+  const es::DenseTensor before = net.run(steps);
+
+  for (const int id : {n1, n2, n3}) {
+    for (float& w : net.weights(id).data()) w *= -1.5f;
+  }
+  const es::DenseTensor routed = net.run(steps);
+  net.set_execution_plan(nullptr);
+  const es::DenseTensor dense = net.run(steps);
+  EXPECT_GT(dense.count_nonzero(), 0u);
+  EXPECT_FALSE(same_bytes(dense, before));
+  EXPECT_TRUE(same_bytes(routed, dense));
 }

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -104,24 +105,35 @@ struct CollectingSink {
   }
 };
 
+/// Wraps each transport the receiver accepts (identity when empty).
+using AcceptWrap =
+    std::function<std::unique_ptr<ew::Transport>(std::unique_ptr<ew::Transport>)>;
+
 /// Runs a sender (on its own thread, connecting through `factory`) into
-/// a receiver accepting from `listener`, until the session completes or
-/// the receiver gives up. Returns sender stats.
+/// a receiver accepting from `listener` until the sender returns: a
+/// sender that reconnects after end-of-stream (its final ack lost) is
+/// still accepted and answered. Returns sender stats.
 ew::WireSendStats pump_session(const ee::EventStream& stream,
                                ew::WireSenderConfig sender_cfg,
                                ew::TransportFactory factory,
                                ew::TcpListener& listener,
                                ew::WireReceiver& receiver,
-                               int max_accepts = 20) {
+                               const AcceptWrap& wrap = {}) {
   ew::WireSender sender(stream, std::move(sender_cfg), std::move(factory));
   ew::WireSendStats stats;
-  std::thread tx([&] { stats = sender.run(); });
-  for (int i = 0; i < max_accepts && !receiver.eos(); ++i) {
-    std::unique_ptr<ew::Transport> t = listener.accept(2000ms);
+  std::atomic<bool> sender_done{false};
+  std::thread tx([&] {
+    stats = sender.run();
+    sender_done = true;
+  });
+  while (!sender_done) {
+    std::unique_ptr<ew::Transport> t = listener.accept(20ms);
     if (!t) continue;
-    const ew::ServeOutcome outcome = receiver.serve(*t);
+    if (wrap) t = wrap(std::move(t));
+    if (receiver.serve(*t) == ew::ServeOutcome::kEndOfStream) {
+      receiver.linger(*t);  // as the serving ingress does
+    }
     t->close();
-    if (outcome == ew::ServeOutcome::kEndOfStream) break;
   }
   tx.join();
   receiver.finish();
@@ -588,6 +600,62 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return out;
     });
+
+// The receiver's link loses its first final ack and drops, as a reset
+// connection discards an ack in flight. The sender reconnects; past
+// end-of-stream the receiver answers its hello and resume with the
+// final ack, so the session completes with no wall-clock window
+// deciding it.
+TEST(WireSession, LostFinalAckIsAnsweredAfterReconnect) {
+  struct LoseFirstFinalAck final : ew::Transport {
+    LoseFirstFinalAck(std::unique_ptr<ew::Transport> t,
+                      const ew::WireReceiver& r, bool& l)
+        : inner(std::move(t)), receiver(r), lost(l) {}
+    bool send(const void* d, std::size_t n) override {
+      if (!lost && receiver.eos()) {
+        lost = true;
+        inner->close();
+        return false;
+      }
+      return inner->send(d, n);
+    }
+    std::ptrdiff_t recv_some(void* d, std::size_t n,
+                             std::chrono::milliseconds t) override {
+      return inner->recv_some(d, n, t);
+    }
+    void close() override { inner->close(); }
+    bool closed() const override { return inner->closed(); }
+    std::unique_ptr<ew::Transport> inner;
+    const ew::WireReceiver& receiver;
+    bool& lost;
+  };
+
+  const ee::EventStream stream = ramp_stream(0, 1000, 100);
+  ew::TcpListener listener;
+  CollectingSink collect;
+  ew::WireReceiver receiver(ew::WireReceiverConfig{}, collect.sink());
+  ew::WireSenderConfig cfg;
+  cfg.events_per_packet = 64;
+  const std::uint16_t port = listener.port();
+  bool lost = false;
+  const ew::WireSendStats stats = pump_session(
+      stream, cfg, [port] { return ew::TcpTransport::connect(port, 2000ms); },
+      listener, receiver, [&](std::unique_ptr<ew::Transport> t) {
+        return std::make_unique<LoseFirstFinalAck>(std::move(t), receiver,
+                                                   lost);
+      });
+
+  EXPECT_TRUE(lost);
+  EXPECT_TRUE(stats.completed);
+  EXPECT_EQ(stats.reconnects, 1u);
+  EXPECT_GE(receiver.stats().resumes_served, 1u);
+  ASSERT_TRUE(collect.saw_eos);
+  ASSERT_EQ(collect.events.size(), stream.events().size());
+  for (std::size_t i = 0; i < collect.events.size(); ++i) {
+    ASSERT_EQ(collect.events[i], stream.events()[i]) << "event " << i;
+  }
+  EXPECT_TRUE(receiver.stats().accounting_ok());
+}
 
 TEST(WireSession, ReconnectResumeAcrossWrapLosesNothing) {
   // Disconnect mid-stream while the timestamps cross the 32-bit wrap:
