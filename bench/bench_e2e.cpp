@@ -1,6 +1,6 @@
 // End-to-end sparse-network execution benchmark: times two execution
-// strategies for a 3-sparse-layer network (submanifold -> strided sparse
-// conv -> submanifold) at DAVIS346 scale across event densities, over a
+// strategies for a 3-sparse-layer network (CSR conv -> strided sparse
+// conv -> CSR conv) at DAVIS346 scale across event densities, over a
 // DSFA-style merge batch of frames run one after another:
 //
 //   batch1      per-frame calls with the legacy densify/sparsify chain
@@ -8,7 +8,8 @@
 //   csr_chain   per-frame calls chained through sparse_conv2d_csr —
 //               sparse end to end, no dense round-trip, shared Workspace
 //
-// The CSR chain's outputs are checked against the legacy chain to 1e-4.
+// Only the strided middle layer differs between the strategies; the
+// CSR chain's outputs are checked against the legacy chain to 1e-4.
 // Results go to BENCH_e2e.json (CI artifact); the bench exits non-zero on
 // any parity failure.
 //
@@ -46,9 +47,9 @@ es::SparseSample random_sample(int channels, int h, int w, double density,
 /// The 3-sparse-layer encoder under test (the regime where activations
 /// stay sparse — chaining pays off before the active set densifies).
 /// DAVIS346 event input: 2 channels at 260x346;
-///   L1 submanifold 2->16 k3     @260x346
+///   L1 CSR conv 2->16 k3s1      @260x346
 ///   L2 sparse conv 16->32 k3s2  @130x173 (strided)
-///   L3 submanifold 32->32 k3    @130x173
+///   L3 CSR conv 32->32 k3s1     @130x173
 struct Net {
   es::Conv2dSpec l1{2, 16, 3, 1, 1};
   es::Conv2dSpec l2{16, 32, 3, 2, 1};
@@ -66,17 +67,17 @@ struct Net {
 
   /// Legacy chain, one sample: dense round-trip after the strided layer.
   [[nodiscard]] es::SparseSample run_legacy(const es::SparseSample& in) const {
-    const auto a1 = es::submanifold_conv2d(in, w1, {}, l1);
+    const auto a1 = es::sparse_conv2d_csr(in, w1, {}, l1);
     const auto a2 = es::dense_to_channels(es::sparse_conv2d(a1, w2, {}, l2));
-    return es::submanifold_conv2d(a2, w3, {}, l3);
+    return es::sparse_conv2d_csr(a2, w3, {}, l3);
   }
 
   /// CSR chain, one sample: sparse end to end.
   [[nodiscard]] es::SparseSample run_csr1(const es::SparseSample& in,
                                           es::Workspace* ws) const {
-    const auto a1 = es::submanifold_conv2d(in, w1, {}, l1, nullptr, ws);
+    const auto a1 = es::sparse_conv2d_csr(in, w1, {}, l1, nullptr, ws);
     const auto a2 = es::sparse_conv2d_csr(a1, w2, {}, l2, nullptr, ws);
-    return es::submanifold_conv2d(a2, w3, {}, l3, nullptr, ws);
+    return es::sparse_conv2d_csr(a2, w3, {}, l3, nullptr, ws);
   }
 };
 
@@ -101,7 +102,7 @@ struct Result {
   }
   std::fprintf(f,
                "{\n  \"threads\": %d,\n  \"network\": "
-               "\"subm2x16k3 -> sparse16x32k3s2 -> subm32x32k3 @260x346\",\n"
+               "\"csr2x16k3s1 -> sparse16x32k3s2 -> csr32x32k3s1 @260x346\",\n"
                "  \"results\": [\n",
                evedge::core::parallel_thread_count());
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -101,52 +101,7 @@ Result bench_dense(const std::string& label, const es::TensorShape& in,
   return r;
 }
 
-/// Sparse submanifold: FP32 gather kernel vs the int8 gather kernel.
-Result bench_submanifold(const std::string& label, int h, int w,
-                         int in_channels, int out_channels, int kernel,
-                         double density, int reps) {
-  const es::Conv2dSpec spec{in_channels, out_channels, kernel, 1,
-                            (kernel - 1) / 2};
-  const auto dense_in = sparsify(
-      random_tensor({1, in_channels, h, w}, 21, 1.5f), density);
-  const auto input = es::dense_to_channels(dense_in);
-  const auto weights = random_tensor(
-      {out_channels, in_channels, kernel, kernel}, 22, 0.2f);
-  const auto q = eq::quantize_conv_weights(weights, spec);
-  const auto s_x = eq::Int8Scale::for_range(eq::max_abs(dense_in.data()));
-  es::Workspace ws_f;
-  es::Workspace ws_i;
-
-  Result r;
-  r.kernel = "int8_submanifold";
-  r.shape = label;
-  r.density = density;
-  r.ref_ms = time_best_ms(
-      [&] {
-        (void)es::submanifold_conv2d(input, weights, {}, spec, nullptr,
-                                     &ws_f);
-      },
-      reps);
-  r.fast_ms = time_best_ms(
-      [&] {
-        (void)eq::int8_submanifold_conv2d(input, q, {}, s_x, nullptr,
-                                          &ws_i);
-      },
-      reps);
-
-  es::DenseTensor qin;
-  eq::quantize_activations_reference(dense_in, s_x, qin);
-  const auto reference = es::channels_to_dense(es::submanifold_conv2d(
-      es::dense_to_channels(qin), q.fake, {}, spec, nullptr, &ws_f));
-  r.max_abs_diff = es::max_abs_diff(
-      es::channels_to_dense(eq::int8_submanifold_conv2d(
-          input, q, {}, s_x, nullptr, &ws_i)),
-      reference);
-  r.step = eq::output_quant_step(reference);
-  return r;
-}
-
-/// CSR strided sparse conv: FP32 vs int8.
+/// CSR sparse conv: FP32 vs int8.
 Result bench_sparse_csr(const std::string& label, int h, int w,
                         int in_channels, int out_channels, int kernel,
                         int stride, int padding, double density, int reps) {
@@ -282,8 +237,8 @@ int main(int argc, char** argv) {
 
   // --- Sparse int8 gather kernels at event densities.
   for (const double d : {0.02, 0.05}) {
-    report(bench_submanifold("16x130x173 -> 32 k3", 130, 173, 16, 32, 3, d,
-                             7));
+    report(bench_sparse_csr("16x130x173 -> 32 k3s1", 130, 173, 16, 32, 3, 1,
+                            1, d, 7));
   }
   report(bench_sparse_csr("16x260x346 -> 32 k3s2", 260, 346, 16, 32, 3, 2,
                           1, 0.02, 5));

@@ -140,11 +140,7 @@ BatchExecutor::~BatchExecutor() {
   }
 }
 
-void BatchExecutor::enable_execution_planner(
-    const nn::PlannerOptions& options) {
-  planner_enabled_ = true;
-  planner_options_ = options;
-}
+void BatchExecutor::enable_execution_planner() { planner_enabled_ = true; }
 
 const DenseTensor& BatchExecutor::execute(
     const std::vector<SparseFrame>& frames) {
@@ -164,7 +160,7 @@ const DenseTensor& BatchExecutor::execute(
     frames_to_event_steps({frames.front()}, event_shape_,
                           net_.spec().timesteps, probe);
     plan_ = nn::ExecutionPlanner::calibrate(
-        net_, probe, needs_image_ ? &image_ : nullptr, planner_options_);
+        net_, probe, needs_image_ ? &image_ : nullptr);
     net_.set_execution_plan(&plan_);
     plan_ready_ = true;
   }

@@ -87,7 +87,7 @@ class BatchExecutor {
   /// the resulting plan, owned here, is installed on the network for
   /// every subsequent batch. Bitwise-neutral (see exec_plan.hpp); call
   /// before the first execute().
-  void enable_execution_planner(const nn::PlannerOptions& options = {});
+  void enable_execution_planner();
   /// The installed plan (nullptr before the first planned batch).
   [[nodiscard]] const nn::ExecutionPlan* execution_plan() const noexcept {
     return plan_ready_ ? &plan_ : nullptr;
@@ -114,7 +114,6 @@ class BatchExecutor {
   // Lazily calibrated execution plan (installed on net_ while alive).
   bool planner_enabled_ = false;
   bool plan_ready_ = false;
-  nn::PlannerOptions planner_options_;
   nn::ExecutionPlan plan_;
 };
 

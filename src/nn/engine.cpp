@@ -234,13 +234,6 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
               std::to_string(i) + " requires zero bias");
         }
       }
-      if (r == Route::kSubmanifold &&
-          (ls.conv.stride != 1 || ls.out_shape.h != ls.in_shape.h ||
-           ls.out_shape.w != ls.in_shape.w)) {
-        throw std::invalid_argument(
-            "set_execution_plan: submanifold route on node " +
-            std::to_string(i) + " needs stride-1 same-extent geometry");
-      }
     }
   }
   const ExecutionPlan* previous = exec_plan_;
@@ -314,7 +307,7 @@ const sparse::SparseSample& FunctionalNetwork::sparse_value(int node_id) {
 }
 
 void FunctionalNetwork::run_sparse_conv(const LayerNode& node,
-                                        std::size_t idx, Route route) {
+                                        std::size_t idx) {
   const LayerSpec& ls = node.spec;
   const sparse::SparseSample& input = sparse_value(node.parents.front());
   sparse::SparseSample& out = sparse_values_[idx];
@@ -322,23 +315,13 @@ void FunctionalNetwork::run_sparse_conv(const LayerNode& node,
   if (const quant::NodeQuantPlan* nq = node_quant(idx)) {
     // Real int8 gather kernels; the quant plan carries the packed int8
     // rows.
-    out = route == Route::kSubmanifold
-              ? quant::int8_submanifold_conv2d(input, nq->weights,
-                                               biases_[idx], nq->input_scale,
-                                               &work, &workspace_)
-              : quant::int8_sparse_conv2d_csr(input, nq->weights,
-                                              biases_[idx], nq->input_scale,
-                                              &work, &workspace_);
+    out = quant::int8_sparse_conv2d_csr(input, nq->weights, biases_[idx],
+                                        nq->input_scale, &work, &workspace_);
   } else {
     const std::vector<float>& packed =
         workspace_.packed_slot(static_cast<int>(idx));
-    out = route == Route::kSubmanifold
-              ? sparse::submanifold_conv2d(
-                    input, weights_[idx], biases_[idx], ls.conv, &work,
-                    &workspace_, sparse::SubmanifoldThreading::kAuto, packed)
-              : sparse::sparse_conv2d_csr(
-                    input, weights_[idx], biases_[idx], ls.conv, &work,
-                    &workspace_, sparse::SubmanifoldThreading::kAuto, packed);
+    out = sparse::sparse_conv2d_csr(input, weights_[idx], biases_[idx],
+                                    ls.conv, &work, &workspace_, packed);
   }
   sparse_valid_[idx] = 1;
   dense_valid_[idx] = 0;
@@ -370,16 +353,15 @@ void FunctionalNetwork::synaptic_current(const LayerNode& node,
     } else {
       sparse::sparse_conv2d_csr_rows(input, weights_[idx], biases_[idx],
                                      ls.conv, current, &work, &workspace_,
-                                     sparse::SubmanifoldThreading::kAuto,
                                      packed);
     }
     ++exec_stats_.sparse_node_runs;
     exec_stats_.sparse_macs += work.sparse_macs;
     exec_stats_.dense_macs_avoided += work.dense_macs;
   } else if (route != Route::kDense) {
-    // Int8 sparse and kSubmanifold keep their COO kernels; the current
-    // crosses into rows once.
-    run_sparse_conv(node, idx, route);
+    // Int8 sparse keeps its COO kernel; the current crosses into rows
+    // once.
+    run_sparse_conv(node, idx);
     sparse::channels_into_rows(sparse_values_[idx], current);
     ++exec_stats_.densify_boundaries;
     // The carrier held the pre-LIF current, not this node's output —
@@ -674,7 +656,7 @@ DenseTensor FunctionalNetwork::run_sample(
         case LayerKind::kConv: {
           const Route route = effective_route(idx);
           if (route != Route::kDense) {
-            run_sparse_conv(node, idx, route);
+            run_sparse_conv(node, idx);
             if (ls.relu_after) {
               // Sparse ReLU: dropping negative entries leaves exactly
               // relu() of the dense image (implicit zeros are fixpoints).

@@ -19,18 +19,17 @@
 //    contiguous; lif.hpp). An FP32 sparse-routed spiking conv writes the
 //    current in that layout directly (the scatter route for narrow
 //    layers, the gather reduction's row sink for wide ones); every
-//    other current source (dense, int8, simulate mode, kSubmanifold)
-//    keeps its kernel and crosses into rows once. The LIF step emits the
+//    other current source (dense, int8, simulate mode) keeps its kernel
+//    and crosses into rows once. The LIF step emits the
 //    spikes into the node's persistent NCHW buffer, or as per-channel
 //    COO when a sparse-routed consumer reads them.
 //
 // Execution routes (exec_plan.hpp): with an ExecutionPlan installed, each
-// conv-shaped node executes kDense, kCsr or kSubmanifold. Sparse-routed
-// nodes consume and produce a COO activation carrier, so consecutive
-// sparse layers chain in sparse form end to end; the engine crosses
-// representations (sparsify/densify) only at route boundaries. kCsr
-// results are bitwise identical to dense execution (zero-bias layers);
-// kSubmanifold is stored-site exact (see exec_plan.hpp).
+// conv-shaped node executes kDense or kCsr. Sparse-routed nodes consume
+// and produce a COO activation carrier, so consecutive sparse layers
+// chain in sparse form end to end; the engine crosses representations
+// (sparsify/densify) only at route boundaries. kCsr results are bitwise
+// identical to dense execution (zero-bias layers).
 
 #include <cstdint>
 #include <functional>
@@ -187,19 +186,18 @@ class FunctionalNetwork {
   /// previously installed plan for scoped save/restore.
   const quant::QuantPlan* set_quant_plan(const quant::QuantPlan* plan);
 
-  /// Per-node execution routes (exec_plan.hpp): nodes routed kCsr or
-  /// kSubmanifold execute the gather sparse kernels on a COO activation
-  /// carrier (the int8 sparse kernels when the node is also in the quant
-  /// plan), every other node runs the dense path. The plan is non-owning
-  /// and must outlive its installation; the whole plan is validated
-  /// before any state changes (routes only on conv-shaped zero-bias
-  /// nodes; kSubmanifold additionally requires stride-1 same-extent
-  /// geometry). nullptr restores all-dense execution. While an
-  /// activation hook is installed, every node runs dense (hooks observe
-  /// and may mutate dense activations). Installing a plan packs the
-  /// [tap][oc] weight rows of every sparse-routed node once, whatever
-  /// the quant plan says (weights() repacks after an edit). Returns the
-  /// previously installed plan for scoped save/restore.
+  /// Per-node execution routes (exec_plan.hpp): nodes routed kCsr
+  /// execute the sparse kernels on a COO activation carrier (the int8
+  /// sparse kernels when the node is also in the quant plan), every
+  /// other node runs the dense path. The plan is non-owning and must
+  /// outlive its installation; the whole plan is validated before any
+  /// state changes (routes only on conv-shaped zero-bias nodes).
+  /// nullptr restores all-dense execution. While an activation hook is
+  /// installed, every node runs dense (hooks observe and may mutate
+  /// dense activations). Installing a plan packs the [tap][oc] weight
+  /// rows of every sparse-routed node once, whatever the quant plan says
+  /// (weights() repacks after an edit). Returns the previously installed
+  /// plan for scoped save/restore.
   const ExecutionPlan* set_execution_plan(const ExecutionPlan* plan);
   [[nodiscard]] const ExecutionPlan* execution_plan() const noexcept {
     return exec_plan_;
@@ -301,12 +299,14 @@ class FunctionalNetwork {
   /// COO carrier view of a node's output, sparsifying the dense tensor
   /// on first access (cached for the rest of the timestep).
   [[nodiscard]] const sparse::SparseSample& sparse_value(int node_id);
-  /// Executes one conv-shaped node on a sparse route into its COO
-  /// carrier (float gather kernels, or the int8 ones when planned).
-  void run_sparse_conv(const LayerNode& node, std::size_t idx, Route route);
+  /// Executes one conv-shaped kCsr node into its COO carrier (float
+  /// gather kernel, or the int8 one when planned).
+  void run_sparse_conv(const LayerNode& node, std::size_t idx);
   /// Computes a spiking node's synaptic current (its conv, on the node's
   /// route) into the site-major [1, H, W, C] `current` its LIF state
-  /// steps on.
+  /// steps on: FP32 kCsr nodes write it directly (scatter or gather row
+  /// sink, by scatter_current_route), int8 kCsr nodes through their COO
+  /// kernel, dense nodes through their NCHW kernel.
   void synaptic_current(const LayerNode& node, std::size_t idx,
                         sparse::DenseTensor& current);
   /// Densifies `sample` into `out` ([1, C, H, W]).

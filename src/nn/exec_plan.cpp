@@ -12,7 +12,6 @@ using sparse::DenseTensor;
 std::string to_string(Route route) {
   switch (route) {
     case Route::kDense: return "dense";
-    case Route::kSubmanifold: return "submanifold";
     case Route::kCsr: return "csr";
   }
   return "?";
@@ -89,13 +88,6 @@ constexpr double kMargin = 1.35;
                      [](float x) { return x == 0.0f; });
 }
 
-/// True when the layer satisfies the submanifold geometry contract
-/// (stride 1, output extent == input extent).
-[[nodiscard]] bool submanifold_geometry_ok(const LayerSpec& ls) noexcept {
-  return ls.conv.stride == 1 && ls.out_shape.h == ls.in_shape.h &&
-         ls.out_shape.w == ls.in_shape.w;
-}
-
 /// The dense-vs-sparse crossover, mirroring core/inference_cost's
 /// per-layer route comparison with the measured kernel cost structure:
 /// dense cost is the layer's MAC count; sparse cost is the gather tap
@@ -169,8 +161,7 @@ constexpr double kMargin = 1.35;
 /// Routes every node from a filled per-node output_density table.
 [[nodiscard]] ExecutionPlan plan_impl(const FunctionalNetwork& net,
                                       std::vector<double> output_density,
-                                      double probe_input_density,
-                                      const PlannerOptions& options) {
+                                      double probe_input_density) {
   const NetworkSpec& spec = net.spec();
   ExecutionPlan plan;
   plan.route.assign(spec.graph.size(), Route::kDense);
@@ -197,19 +188,9 @@ constexpr double kMargin = 1.35;
     const bool parent_chains =
         plan.route[pidx] != Route::kDense &&
         spec.graph.node(parent).spec.kind == LayerKind::kConv;
-    if (!sparse_wins(ls, d_in, /*chain_head=*/!parent_chains)) {
-      continue;
+    if (sparse_wins(ls, d_in, /*chain_head=*/!parent_chains)) {
+      plan.route[idx] = Route::kCsr;
     }
-    // Narrow spiking convs were approved on the scatter-route cost model
-    // and must stay kCsr so the engine's scatter dispatch (and its
-    // dense-exact numerics) actually applies — kSubmanifold would run
-    // the gather+densify path the approval never costed.
-    const bool scatter_snn = domain_of(ls.kind) == Domain::kSnn &&
-                             scatter_current_route(ls.conv);
-    plan.route[idx] = options.allow_submanifold && !scatter_snn &&
-                              submanifold_geometry_ok(ls)
-                          ? Route::kSubmanifold
-                          : Route::kCsr;
   }
   return plan;
 }
@@ -218,7 +199,7 @@ constexpr double kMargin = 1.35;
 
 ExecutionPlan ExecutionPlanner::calibrate(
     FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
-    const sparse::DenseTensor* image, const PlannerOptions& options) {
+    const sparse::DenseTensor* image, const PlannerOptions& /*options*/) {
   const NetworkSpec& spec = net.spec();
   const std::size_t n = spec.graph.size();
   std::vector<double> acc(n, 0.0);
@@ -258,7 +239,7 @@ ExecutionPlan ExecutionPlanner::calibrate(
     density[static_cast<std::size_t>(input_ids.back())] =
         image != nullptr ? image->density() : 1.0;
   }
-  return plan_impl(net, std::move(density), event_density, options);
+  return plan_impl(net, std::move(density), event_density);
 }
 
 }  // namespace evedge::nn

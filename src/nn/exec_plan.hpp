@@ -5,20 +5,15 @@
 // promoted to a first-class runtime artifact the engine executes.
 //
 // An ExecutionPlan assigns every node a Route:
-//   kDense        the conventional dense kernels (conv2d / int8_conv2d)
-//   kCsr          the gather/CSR sparse kernels (sparse_conv2d_csr and,
-//                 on quantized layers, int8_sparse_conv2d_csr). Output
-//                 stays in COO form, so consecutive kCsr layers chain
-//                 densify-free ("fused CSR chains"). With the engine's
-//                 zero-bias layers this route is bitwise identical to
-//                 dense execution everywhere (the stored sites carry the
-//                 dense values; unreached sites are exact zeros in both).
-//   kSubmanifold  Graham-style submanifold convolution: output restricted
-//                 to the union of input active sites. Bitwise identical
-//                 to the dense path AT STORED SITES but drops the halo
-//                 sites a dense conv would populate — a deliberate
-//                 semantic change (the standard sparse-SNN operator), so
-//                 the planner only selects it when explicitly allowed.
+//   kDense  the conventional dense kernels (conv2d / int8_conv2d)
+//   kCsr    the sparse kernels (sparse_conv2d_csr and, on quantized
+//           layers, int8_sparse_conv2d_csr; narrow FP32 spiking convs
+//           scatter instead, see scatter_current_route). Output stays in
+//           COO form, so consecutive kCsr layers chain densify-free
+//           ("fused CSR chains"). With the engine's zero-bias layers this
+//           route is bitwise identical to dense execution everywhere (the
+//           stored sites carry the dense values; unreached sites are
+//           exact zeros in both).
 //
 // The ExecutionPlanner chooses routes once, from activation densities
 // measured on one warmup probe (calibrate: dense runs through an
@@ -39,7 +34,7 @@ namespace evedge::nn {
 class FunctionalNetwork;
 
 /// Per-node execution route (see file comment for semantics).
-enum class Route : std::uint8_t { kDense, kSubmanifold, kCsr };
+enum class Route : std::uint8_t { kDense, kCsr };
 
 [[nodiscard]] std::string to_string(Route route);
 
@@ -66,15 +61,11 @@ struct ExecutionPlan {
   [[nodiscard]] std::string describe(const NetworkSpec& spec) const;
 };
 
-/// Planner policy. The crossover's cost constants are fixed
-/// (exec_plan.cpp); the one policy choice is whether the planner may
-/// trade exact dense numerics for the submanifold route.
-struct PlannerOptions {
-  /// Permit kSubmanifold for eligible stride-1 layers. Off by default:
-  /// submanifold restricts the active set (stored-site-exact only),
-  /// while kCsr preserves dense numerics exactly.
-  bool allow_submanifold = false;
-};
+/// Planner policy: none left — the crossover's cost constants are fixed
+/// (exec_plan.cpp) and every sparse route is dense-exact. The empty
+/// struct stays only because the repo benchmark's layer replay passes
+/// WorkerConfig::planner to calibrate(); it goes with that call.
+struct PlannerOptions {};
 
 /// How a sparse-routed FP32 spiking conv writes its site-major
 /// [H, W, C] LIF current: narrow layers scatter each (input non-zero,

@@ -77,7 +77,7 @@ class LayerProfiler final : public nn::ExecObserver {
     std::uint64_t total_ns = 0;
     std::uint64_t max_ns = 0;
   };
-  static constexpr int kRoutes = 3;  // kDense, kSubmanifold, kCsr
+  static constexpr int kRoutes = 2;  // kDense, kCsr
 
   bool emit_spans_;
   std::vector<const char*> names_;  // interned: process-lifetime storage

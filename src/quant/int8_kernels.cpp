@@ -494,25 +494,31 @@ DenseTensor int8_fully_connected(const DenseTensor& input,
 
 namespace {
 
-constexpr int kOcBlock = 8;
-constexpr int kMaxAccum = 256;  ///< stack accumulator limit (site axis)
-constexpr std::size_t kSiteChunk = 2048;
+constexpr std::size_t kOcBlock = 8;
+/// Widest accumulator row kept on the stack.
+constexpr std::size_t kMaxStackAccum = 256;
 
 /// One site range of the sparse int8 reduction: a single pass over each
 /// site's quantized tap list accumulates every output channel in int32
 /// against the packed [tap][oc] rows, then requantizes and emits COO
-/// entries per channel.
-EVEDGE_SIMD_CLONES
-void reduce_sites_chunk(const sparse::ConvScratch& s,
-                        const std::int16_t* packed, std::size_t oc_n,
-                        std::size_t s0, std::size_t s1, const float* bias,
-                        const float* wscale, float sx, int out_w,
-                        std::vector<CooEntry>* per_oc) {
-  // Dequantization factors on the stack, formed exactly as the dense
-  // kernel forms them (sx * wscale[oc]) so shared sites agree bitwise.
-  float dq[kMaxAccum];
+/// entries per channel. The accumulators are stack arrays up to
+/// kMaxStackAccum channels; `kHeap` instantiates the same body over heap
+/// rows for wider layers.
+template <bool kHeap>
+EVEDGE_SIMD_CLONES void reduce_sites_chunk(
+    const sparse::ConvScratch& s, const std::int16_t* packed,
+    std::size_t oc_n, std::size_t s0, std::size_t s1, const float* bias,
+    const float* wscale, float sx, int out_w,
+    std::vector<CooEntry>* per_oc) {
+  float stack_dq[kHeap ? 1 : kMaxStackAccum];
+  std::int32_t stack_acc[kHeap ? 1 : kMaxStackAccum];
+  std::vector<float> heap_dq(kHeap ? oc_n : 0);
+  std::vector<std::int32_t> heap_acc(kHeap ? oc_n : 0);
+  float* dq = kHeap ? heap_dq.data() : stack_dq;
+  std::int32_t* acc = kHeap ? heap_acc.data() : stack_acc;
+  // Dequantization factors formed exactly as the dense kernel forms them
+  // (sx * wscale[oc]) so shared sites agree bitwise.
   for (std::size_t j = 0; j < oc_n; ++j) dq[j] = sx * wscale[j];
-  std::int32_t acc[kMaxAccum];
   for (std::size_t si = s0; si < s1; ++si) {
     std::fill(acc, acc + oc_n, 0);
     const std::size_t t0 = s.site_ptr[si];
@@ -523,7 +529,7 @@ void reduce_sites_chunk(const sparse::ConvScratch& s,
       const std::int32_t qv = s.qtaps[t];
       std::size_t j = 0;
       for (; j + kOcBlock <= oc_n; j += kOcBlock) {
-        for (int jj = 0; jj < kOcBlock; ++jj) {
+        for (std::size_t jj = 0; jj < kOcBlock; ++jj) {
           acc[j + jj] += w_row[j + jj] * qv;
         }
       }
@@ -539,108 +545,62 @@ void reduce_sites_chunk(const sparse::ConvScratch& s,
   }
 }
 
-/// Shared INT8 gather kernel: the sparse_ops front half + an int8 tap
-/// reduction against the packed [tap][oc] rows.
-std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
-                                         const Int8ConvWeights& weights,
-                                         std::span<const float> bias,
-                                         Int8Scale input_scale,
-                                         bool submanifold, ConvWork* work,
-                                         Workspace* workspace) {
+}  // namespace
+
+std::vector<CooChannel> int8_sparse_conv2d_csr(
+    std::span<const CooChannel> input, const Int8ConvWeights& weights,
+    std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
+    Workspace* workspace) {
   Workspace local;
   Workspace& arena = workspace != nullptr ? *workspace : local;
   sparse::ConvScratch& s = arena.scratch();
   const GatherGeometry geo = sparse::build_gather_taps(
-      input, weights.fake, bias, weights.spec, submanifold, s);
+      input, weights.fake, bias, weights.spec, s);
 
-  // Quantize the shared tap stream once; every channel block reuses it.
+  // Quantize the shared tap stream once; every site range reuses it.
   s.qtaps.resize(s.taps.size());
   for (std::size_t t = 0; t < s.taps.size(); ++t) {
     s.qtaps[t] = static_cast<std::int16_t>(
         input_scale.quantize(s.taps[t].value));
   }
 
-  const int oc_count = weights.spec.out_channels;
-  const auto oc_n = static_cast<std::size_t>(oc_count);
+  const auto oc_n = static_cast<std::size_t>(weights.spec.out_channels);
   std::vector<std::vector<CooEntry>> out_entries(oc_n);
   const std::size_t n_sites = s.sites.size();
 
-  if (oc_count <= kMaxAccum) {
-    // Site-chunk axis: one pass over the tap stream accumulates EVERY
-    // output channel against the packed (L1-resident) int16 rows —
-    // chunks are fixed-size so the partitioning (and the concatenated
-    // entry order) is independent of the worker count.
-    const int site_chunks =
-        static_cast<int>((n_sites + kSiteChunk - 1) / kSiteChunk);
-    std::vector<std::vector<std::vector<CooEntry>>> chunk_entries(
-        static_cast<std::size_t>(std::max(site_chunks, 1)));
-    core::parallel_for(0, site_chunks, [&](int ck) {
-      auto& per_oc = chunk_entries[static_cast<std::size_t>(ck)];
-      per_oc.resize(oc_n);
-      const std::size_t s0 = static_cast<std::size_t>(ck) * kSiteChunk;
-      const std::size_t s1 = std::min(n_sites, s0 + kSiteChunk);
-      for (auto& entries : per_oc) entries.reserve(s1 - s0);
-      reduce_sites_chunk(s, weights.packed.data(), oc_n, s0, s1,
-                         bias.empty() ? nullptr : bias.data(),
-                         weights.scale.data(), input_scale.scale,
-                         geo.out_w, per_oc.data());
-    });
-    for (std::size_t oc = 0; oc < oc_n; ++oc) {
-      std::size_t total = 0;
-      for (const auto& per_oc : chunk_entries) {
-        if (!per_oc.empty()) total += per_oc[oc].size();
-      }
-      out_entries[oc].reserve(total);
-      for (const auto& per_oc : chunk_entries) {
-        if (per_oc.empty()) continue;
-        out_entries[oc].insert(out_entries[oc].end(), per_oc[oc].begin(),
-                               per_oc[oc].end());
-      }
+  // Site ranges as in the FP32 gather reduction: range 0 emits straight
+  // into out_entries, later ranges into their own lists, appended after
+  // it in range order (the entry order of one range over all sites).
+  const int ranges =
+      sparse::gather_range_count(n_sites, core::parallel_thread_count());
+  std::vector<std::vector<std::vector<CooEntry>>> later_entries(
+      ranges > 1 ? static_cast<std::size_t>(ranges - 1) : 0);
+  core::parallel_for(
+      0, ranges,
+      [&](int r) {
+        const std::size_t s0 = n_sites * static_cast<std::size_t>(r) /
+                               static_cast<std::size_t>(ranges);
+        const std::size_t s1 = n_sites * static_cast<std::size_t>(r + 1) /
+                               static_cast<std::size_t>(ranges);
+        auto& per_oc = r == 0 ? out_entries
+                              : later_entries[static_cast<std::size_t>(r - 1)];
+        per_oc.resize(oc_n);
+        for (auto& entries : per_oc) entries.reserve(s1 - s0);
+        const auto reduce = oc_n > kMaxStackAccum ? reduce_sites_chunk<true>
+                                                  : reduce_sites_chunk<false>;
+        reduce(s, weights.packed.data(), oc_n, s0, s1,
+               bias.empty() ? nullptr : bias.data(), weights.scale.data(),
+               input_scale.scale, geo.out_w, per_oc.data());
+      },
+      ranges);
+  for (std::size_t oc = 0; oc < oc_n && !later_entries.empty(); ++oc) {
+    std::size_t total = out_entries[oc].size();
+    for (const auto& per_oc : later_entries) total += per_oc[oc].size();
+    out_entries[oc].reserve(total);
+    for (const auto& per_oc : later_entries) {
+      out_entries[oc].insert(out_entries[oc].end(), per_oc[oc].begin(),
+                             per_oc[oc].end());
     }
-  } else {
-    // Wide-channel fallback: channel blocks of 8 re-walk the tap stream.
-    const int oc_blocks = (oc_count + kOcBlock - 1) / kOcBlock;
-    core::parallel_for(0, oc_blocks, [&](int blk) {
-      const int oc0 = blk * kOcBlock;
-      const int oc1 = std::min(oc_count, oc0 + kOcBlock);
-      const int lanes = oc1 - oc0;
-      for (int j = 0; j < lanes; ++j) {
-        out_entries[static_cast<std::size_t>(oc0 + j)].reserve(n_sites);
-      }
-      const std::int16_t* w_block =
-          weights.packed.data() + static_cast<std::size_t>(oc0);
-      for (std::size_t si = 0; si < n_sites; ++si) {
-        std::int32_t acc[kOcBlock] = {};
-        const std::size_t t0 = s.site_ptr[si];
-        const std::size_t t1 = s.site_ptr[si + 1];
-        if (lanes == kOcBlock) {
-          for (std::size_t t = t0; t < t1; ++t) {
-            const std::int16_t* w_row =
-                w_block +
-                static_cast<std::size_t>(s.taps[t].w_offset) * oc_n;
-            const std::int32_t qv = s.qtaps[t];
-            for (int j = 0; j < kOcBlock; ++j) acc[j] += w_row[j] * qv;
-          }
-        } else {
-          for (std::size_t t = t0; t < t1; ++t) {
-            const std::int16_t* w_row =
-                w_block +
-                static_cast<std::size_t>(s.taps[t].w_offset) * oc_n;
-            const std::int32_t qv = s.qtaps[t];
-            for (int j = 0; j < lanes; ++j) acc[j] += w_row[j] * qv;
-          }
-        }
-        const std::int32_t row = s.sites[si] / geo.out_w;
-        const std::int32_t col = s.sites[si] % geo.out_w;
-        for (int j = 0; j < lanes; ++j) {
-          const auto oc = static_cast<std::size_t>(oc0 + j);
-          const float b = bias.empty() ? 0.0f : bias[oc];
-          const float v = b + static_cast<float>(acc[j]) *
-                                  (input_scale.scale * weights.scale[oc]);
-          if (v != 0.0f) out_entries[oc].push_back(CooEntry{row, col, v});
-        }
-      }
-    });
   }
 
   sparse::clear_gather_scratch(input, s);
@@ -659,24 +619,6 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
     work->nnz_in += geo.nnz_in;
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<CooChannel> int8_submanifold_conv2d(
-    std::span<const CooChannel> input, const Int8ConvWeights& weights,
-    std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
-    Workspace* workspace) {
-  return int8_gather_conv(input, weights, bias, input_scale,
-                          /*submanifold=*/true, work, workspace);
-}
-
-std::vector<CooChannel> int8_sparse_conv2d_csr(
-    std::span<const CooChannel> input, const Int8ConvWeights& weights,
-    std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
-    Workspace* workspace) {
-  return int8_gather_conv(input, weights, bias, input_scale,
-                          /*submanifold=*/false, work, workspace);
 }
 
 }  // namespace evedge::quant

@@ -120,18 +120,13 @@ void int8_transposed_conv2d_into(const DenseTensor& input,
                                                Int8Scale input_scale,
                                                Workspace* workspace = nullptr);
 
-/// INT8 submanifold sparse convolution: the gather front half of
-/// sparse_ops with quantized tap values reduced against the packed
-/// [tap][oc] int8 rows. At active sites the dequantized result is
-/// bitwise identical to int8_conv2d's (both compute the same exact
-/// integer sum and the same float requantization).
-[[nodiscard]] std::vector<CooChannel> int8_submanifold_conv2d(
-    std::span<const CooChannel> input, const Int8ConvWeights& weights,
-    std::span<const float> bias, Int8Scale input_scale,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr);
-
-/// INT8 CSR-output strided sparse convolution (chains densify-free like
-/// sparse_conv2d_csr; bias lands at active sites only).
+/// INT8 CSR-output sparse convolution (chains densify-free like
+/// sparse_conv2d_csr; bias lands at active sites only): the gather front
+/// half of sparse_ops with quantized tap values reduced, one site at a
+/// time, against the packed [tap][oc] int8 rows. At active sites the
+/// dequantized result is bitwise identical to int8_conv2d's (both compute
+/// the same exact integer sum and the same float requantization), for
+/// any thread count.
 [[nodiscard]] std::vector<CooChannel> int8_sparse_conv2d_csr(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale,

@@ -657,8 +657,7 @@ ServingRuntime::SerialResult ServingRuntime::run_serial(
       core::frames_to_event_steps(one, event_shape, spec.timesteps, steps);
       if (use_planner && !plan_ready) {
         plan = nn::ExecutionPlanner::calibrate(
-            net, steps, needs_image ? &image : nullptr,
-            config_.worker.planner);
+            net, steps, needs_image ? &image : nullptr);
         net.set_execution_plan(&plan);
         plan_ready = true;
       }

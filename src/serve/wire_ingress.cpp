@@ -125,10 +125,12 @@ void WireStreamIngress::run() {
 
   int losses = 0;
   std::size_t accepted_transports = 0;
-  while (!receiver.eos() && !abort_) {
+  while (!abort_) {
     std::unique_ptr<wire::Transport> transport =
         acceptor_(wire_config_.accept_timeout);
     if (!transport) {
+      // Past end-of-stream nobody came back for the final ack: done.
+      if (receiver.eos()) break;
       if (++losses > wire_config_.max_session_losses) {
         mark_failed("wire: no connection");
         break;
@@ -143,18 +145,22 @@ void WireStreamIngress::run() {
     }
     current_ = transport.get();
     const wire::ServeOutcome outcome = receiver.serve(*transport);
-    if (outcome == wire::ServeOutcome::kEndOfStream && !abort_) {
-      receiver.linger(*transport);  // let the peer consume the last ack
-    }
+    // Past end-of-stream, hold the link until the peer closes: a peer
+    // that closes consumed the final ack; one whose ack was lost may
+    // reconnect for it, and the next serve() answers it.
+    const bool peer_done = outcome == wire::ServeOutcome::kEndOfStream &&
+                           !abort_ && receiver.linger(*transport);
     current_ = nullptr;
     transport->close();
-    if (outcome == wire::ServeOutcome::kEndOfStream || abort_) break;
-    // Peer closed or stalled: await the sender's reconnect. The session
-    // state (next seq, unwrapper, pending buffer) carries across, so a
-    // resumed sender loses nothing that was acked.
+    if (peer_done || abort_) break;
+    // Peer closed, stalled or missed the final ack: await the sender's
+    // reconnect. The session state (next seq, unwrapper, pending buffer)
+    // carries across, so a resumed sender loses nothing that was acked.
     if (++losses > wire_config_.max_session_losses) {
-      mark_failed(std::string("wire: session lost (") +
-                  wire::to_string(outcome) + ")");
+      if (!receiver.eos()) {
+        mark_failed(std::string("wire: session lost (") +
+                    wire::to_string(outcome) + ")");
+      }
       break;
     }
   }

@@ -61,8 +61,8 @@ std::vector<DenseTensor> ServeWorker::probe_steps(
 
 void ServeWorker::calibrate_from(const SparseFrame& frame) {
   const std::vector<DenseTensor> probe = probe_steps(frame);
-  plan_ = nn::ExecutionPlanner::calibrate(
-      net_, probe, needs_image_ ? &image_ : nullptr, config_.planner);
+  plan_ = nn::ExecutionPlanner::calibrate(net_, probe,
+                                          needs_image_ ? &image_ : nullptr);
   net_.set_execution_plan(&plan_);
   plan_ready_ = true;
   ++stats_.calibrations;

@@ -58,6 +58,7 @@ struct WorkerConfig {
   /// Density-adaptive routing (bitwise-neutral, exec_plan.hpp). Off =
   /// all-dense execution.
   bool use_planner = true;
+  /// Empty (exec_plan.hpp); kept for the repo benchmark's layer replay.
   nn::PlannerOptions planner{};
   CollatorConfig collator{};
   /// Supervision retry budget: a frame whose batch failed is retried at

@@ -1,9 +1,7 @@
 #include "sparse/reference.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
-#include <utility>
 
 namespace evedge::sparse::reference {
 
@@ -214,75 +212,6 @@ DenseTensor sparse_conv2d(std::span<const CooChannel> input,
 
   if (work != nullptr) {
     work->dense_macs += dense_mac_count(spec, out_h, out_w);
-    work->sparse_macs += sparse_macs;
-    work->nnz_in += nnz_in;
-  }
-  return out;
-}
-
-std::vector<CooChannel> submanifold_conv2d(std::span<const CooChannel> input,
-                                           const DenseTensor& weights,
-                                           std::span<const float> bias,
-                                           const Conv2dSpec& spec,
-                                           ConvWork* work) {
-  validate_sparse_conv_inputs(input, weights, bias, spec);
-  if (spec.stride != 1) {
-    throw std::invalid_argument("submanifold conv requires stride 1");
-  }
-  if (conv_out_extent(input[0].height(), spec.kernel, 1, spec.padding) !=
-          input[0].height() ||
-      conv_out_extent(input[0].width(), spec.kernel, 1, spec.padding) !=
-          input[0].width()) {
-    throw std::invalid_argument(
-        "submanifold conv requires same-extent output (kernel = 2*padding+1)");
-  }
-  const int h = input[0].height();
-  const int w = input[0].width();
-
-  std::set<std::pair<std::int32_t, std::int32_t>> active;
-  for (const CooChannel& ch : input) {
-    for (const CooEntry& e : ch.entries()) active.insert({e.row, e.col});
-  }
-
-  std::size_t sparse_macs = 0;
-  std::size_t nnz_in = 0;
-  for (const CooChannel& ch : input) nnz_in += ch.nnz();
-
-  std::vector<std::vector<CooEntry>> out_entries(
-      static_cast<std::size_t>(spec.out_channels));
-  for (const auto& [row, col] : active) {
-    for (int oc = 0; oc < spec.out_channels; ++oc) {
-      float acc = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(oc)];
-      for (int ic = 0; ic < spec.in_channels; ++ic) {
-        const CooChannel& ch = input[static_cast<std::size_t>(ic)];
-        for (int ky = 0; ky < spec.kernel; ++ky) {
-          const int iy = row - spec.padding + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (int kx = 0; kx < spec.kernel; ++kx) {
-            const int ix = col - spec.padding + kx;
-            if (ix < 0 || ix >= w) continue;
-            const float v = ch.at(iy, ix);
-            if (v != 0.0f) {
-              acc += weights.at(oc, ic, ky, kx) * v;
-              ++sparse_macs;
-            }
-          }
-        }
-      }
-      if (acc != 0.0f) {
-        out_entries[static_cast<std::size_t>(oc)].push_back(
-            CooEntry{row, col, acc});
-      }
-    }
-  }
-
-  std::vector<CooChannel> out;
-  out.reserve(static_cast<std::size_t>(spec.out_channels));
-  for (auto& entries : out_entries) {
-    out.push_back(CooChannel::from_entries(h, w, std::move(entries)));
-  }
-  if (work != nullptr) {
-    work->dense_macs += dense_mac_count(spec, h, w);
     work->sparse_macs += sparse_macs;
     work->nnz_in += nnz_in;
   }

@@ -2,8 +2,7 @@
 
 // Seed reference kernels, preserved verbatim from the original naive
 // implementations. They are deliberately slow (checked at() per element,
-// per-tap binary searches, std::set active-site union, a scalar scatter)
-// and exist for two reasons only:
+// a scalar scatter) and exist for two reasons only:
 //  - the randomized parity suite pins the fast kernels in nn/kernels.cpp
 //    and sparse/sparse_ops.cpp against them, and
 //  - bench_kernels times old-vs-new on identical inputs so the perf
@@ -40,13 +39,6 @@ namespace evedge::sparse::reference {
                                         std::span<const float> bias,
                                         const Conv2dSpec& spec,
                                         ConvWork* work = nullptr);
-
-/// The seed submanifold convolution (std::set active union, O(log n)
-/// CooChannel::at per kernel tap per channel).
-[[nodiscard]] std::vector<CooChannel> submanifold_conv2d(
-    std::span<const CooChannel> input, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec,
-    ConvWork* work = nullptr);
 
 /// The channel-major LIF step (nn::LifState's before its membrane went
 /// site-major), kept as the oracle of the site-major one: per channel

@@ -78,20 +78,6 @@ void validate_conv_inputs(std::span<const CooChannel> input,
   return ws;
 }
 
-void require_submanifold_geometry(std::span<const CooChannel> input,
-                                  const Conv2dSpec& spec) {
-  if (spec.stride != 1) {
-    throw std::invalid_argument("submanifold conv requires stride 1");
-  }
-  if (conv_out_extent(input[0].height(), spec.kernel, 1, spec.padding) !=
-          input[0].height() ||
-      conv_out_extent(input[0].width(), spec.kernel, 1, spec.padding) !=
-          input[0].width()) {
-    throw std::invalid_argument(
-        "submanifold conv requires same-extent output (kernel = 2*padding+1)");
-  }
-}
-
 /// Scatters one sample through the kernel into dense output plane(s) at
 /// `o` (size out_channels * out_h * out_w, bias already applied by the
 /// caller). Returns the sparse MAC count.
@@ -231,193 +217,121 @@ struct ReduceSink {
   float* rows = nullptr;
 };
 
-/// Reduces the per-site tap lists in `s` against every output channel
-/// and hands each site's sums to `sink`: entries in site (row-major)
-/// order, or the site's current row. Both threading axes execute the
-/// identical per-site accumulation and write disjoint rows or emit
-/// entries in the same order, so the result is bitwise independent of
-/// the axis and the thread count. Channels are processed in blocks of 8
-/// so each tap load is amortized across 8 accumulators reading one
-/// contiguous packed-weight row.
-constexpr int kOcBlock = 8;
-constexpr std::size_t kSiteChunk = 2048;
+constexpr std::size_t kOcBlock = 8;
+/// Fewest sites a reduction range takes (smaller planes run fewer
+/// ranges than workers).
+constexpr std::size_t kMinRangeSites = 64;
+/// Widest accumulator row kept on the stack.
+constexpr std::size_t kMaxStackAccum = 256;
 
-/// Channel counts above this fall back to the channel-blocked walk (the
-/// per-site accumulator array lives on the stack).
-constexpr int kMaxAccum = 256;
-
-/// Writes one site's sums for channels [oc0, oc0 + lanes) into its
-/// current row. A zero sum lands as +0, as the COO sink drops it and
-/// the densified carrier reads +0 there.
-inline void store_row(float* row, const float* acc, int lanes) noexcept {
-  for (int j = 0; j < lanes; ++j) row[j] = acc[j] != 0.0f ? acc[j] : 0.0f;
+/// Writes one site's sums into its current row. A zero sum lands as +0,
+/// as the COO sink drops it and the densified carrier reads +0 there.
+inline void store_row(float* row, const float* acc, std::size_t n) noexcept {
+  for (std::size_t j = 0; j < n; ++j) row[j] = acc[j] != 0.0f ? acc[j] : 0.0f;
 }
 
+/// Reduces sites [s0, s1) of `s` one at a time: each site's taps are
+/// walked once, every tap adding its packed (L1-resident) weight row,
+/// scaled by the tap value, into the site's `oc_n` accumulators, which
+/// start as the bias. Channels step in blocks of 8 so each tap's row
+/// slice vectorizes. The sums go to the site's row of `rows` or, with
+/// `rows` null, to `per_oc` as one entry per non-zero channel, in site
+/// (row-major) order. The accumulators are stack arrays (aligned, never
+/// aliased) up to kMaxStackAccum channels; `kHeap` instantiates the same
+/// body over a heap row for wider layers.
+template <bool kHeap>
+void reduce_range(const ConvScratch& s, const float* packed_w,
+                  std::span<const float> bias, std::size_t oc_n, int out_w,
+                  std::size_t s0, std::size_t s1, float* rows,
+                  std::vector<CooEntry>* per_oc) {
+  float stack_init[kHeap ? 1 : kMaxStackAccum];
+  float stack_acc[kHeap ? 1 : kMaxStackAccum];
+  std::vector<float> heap_rows(kHeap ? 2 * oc_n : 0);
+  float* init = kHeap ? heap_rows.data() : stack_init;
+  float* acc = kHeap ? heap_rows.data() + oc_n : stack_acc;
+  for (std::size_t j = 0; j < oc_n; ++j) {
+    init[j] = bias.empty() ? 0.0f : bias[j];
+  }
+  for (std::size_t si = s0; si < s1; ++si) {
+    for (std::size_t j = 0; j < oc_n; ++j) acc[j] = init[j];
+    const std::size_t t0 = s.site_ptr[si];
+    const std::size_t t1 = s.site_ptr[si + 1];
+    for (std::size_t t = t0; t < t1; ++t) {
+      const float* w_row =
+          packed_w + static_cast<std::size_t>(s.taps[t].w_offset) * oc_n;
+      const float v = s.taps[t].value;
+      std::size_t j = 0;
+      for (; j + kOcBlock <= oc_n; j += kOcBlock) {
+        for (std::size_t jj = 0; jj < kOcBlock; ++jj) {
+          acc[j + jj] += w_row[j + jj] * v;
+        }
+      }
+      for (; j < oc_n; ++j) acc[j] += w_row[j] * v;
+    }
+    if (rows != nullptr) {
+      store_row(rows + static_cast<std::size_t>(s.sites[si]) * oc_n, acc,
+                oc_n);
+      continue;
+    }
+    const std::int32_t row = s.sites[si] / out_w;
+    const std::int32_t col = s.sites[si] % out_w;
+    for (std::size_t j = 0; j < oc_n; ++j) {
+      if (acc[j] != 0.0f) per_oc[j].push_back(CooEntry{row, col, acc[j]});
+    }
+  }
+}
+
+/// Reduces the per-site tap lists in `s` against every output channel
+/// and hands each site's sums to `sink`: entries in site (row-major)
+/// order, or the site's current row. The sites split into
+/// gather_range_count ranges reduced in parallel; rows are disjoint and
+/// each channel's entries are concatenated in range order, so the result
+/// is bitwise independent of the thread count.
 void reduce_sites(const ConvScratch& s, const float* packed_w,
                   std::span<const float> bias, int out_channels, int out_w,
-                  SubmanifoldThreading threading, const ReduceSink& sink) {
-  const int max_threads = core::parallel_thread_count();
+                  const ReduceSink& sink) {
   const std::size_t n_sites = s.sites.size();
-  const int oc_blocks = (out_channels + kOcBlock - 1) / kOcBlock;
-  const int site_chunks =
-      static_cast<int>((n_sites + kSiteChunk - 1) / kSiteChunk);
-
-  bool over_sites = false;
-  switch (threading) {
-    case SubmanifoldThreading::kOutputChannels:
-      break;
-    case SubmanifoldThreading::kActiveSites:
-      over_sites = true;
-      break;
-    case SubmanifoldThreading::kAuto:
-      // The site axis walks the tap stream once for ALL channels (the
-      // channel axis re-walks it once per block), so prefer it whenever
-      // it offers at least as many work units — or whenever the channel
-      // blocks alone cannot fill the worker pool.
-      over_sites =
-          site_chunks >= oc_blocks || oc_blocks < max_threads;
-      break;
-  }
-  if (out_channels > kMaxAccum) over_sites = false;
-
-  // One output-channel block over one contiguous site range.
-  const std::size_t oc_count = static_cast<std::size_t>(out_channels);
-  const auto reduce_block = [&](int oc0, std::size_t s0, std::size_t s1,
-                                std::vector<CooEntry>* block_out) {
-    const int oc1 = std::min(out_channels, oc0 + kOcBlock);
-    const int lanes = oc1 - oc0;
-    float b[kOcBlock] = {};
-    for (int j = 0; j < lanes; ++j) {
-      b[j] = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(oc0 + j)];
-    }
-    const float* w_block = packed_w + static_cast<std::size_t>(oc0);
-    for (std::size_t si = s0; si < s1; ++si) {
-      float acc[kOcBlock];
-      for (int j = 0; j < kOcBlock; ++j) acc[j] = b[j];
-      const std::size_t t0 = s.site_ptr[si];
-      const std::size_t t1 = s.site_ptr[si + 1];
-      if (lanes == kOcBlock) {
-        // Full block: fixed trip count over one contiguous packed-weight
-        // row — vectorizes to one 8-wide FMA per tap.
-        for (std::size_t t = t0; t < t1; ++t) {
-          const float* w_row =
-              w_block +
-              static_cast<std::size_t>(s.taps[t].w_offset) * oc_count;
-          const float v = s.taps[t].value;
-          for (int j = 0; j < kOcBlock; ++j) acc[j] += w_row[j] * v;
-        }
-      } else {
-        for (std::size_t t = t0; t < t1; ++t) {
-          const float* w_row =
-              w_block +
-              static_cast<std::size_t>(s.taps[t].w_offset) * oc_count;
-          const float v = s.taps[t].value;
-          for (int j = 0; j < lanes; ++j) acc[j] += w_row[j] * v;
-        }
-      }
-      if (sink.rows != nullptr) {
-        store_row(sink.rows + static_cast<std::size_t>(s.sites[si]) * oc_count +
-                      static_cast<std::size_t>(oc0),
-                  acc, lanes);
-        continue;
-      }
-      const std::int32_t row = s.sites[si] / out_w;
-      const std::int32_t col = s.sites[si] % out_w;
-      for (int j = 0; j < lanes; ++j) {
-        if (acc[j] != 0.0f) {
-          block_out[j].push_back(CooEntry{row, col, acc[j]});
-        }
-      }
-    }
-  };
-
-  if (!over_sites) {
-    core::parallel_for(
-        0, oc_blocks,
-        [&](int blk) {
-          const int oc0 = blk * kOcBlock;
-          std::vector<CooEntry>* block_out = nullptr;
-          if (sink.entries != nullptr) {
-            block_out = sink.entries->data() + static_cast<std::size_t>(oc0);
-            for (int j = 0; j < std::min(kOcBlock, out_channels - oc0); ++j) {
-              block_out[j].reserve(n_sites);
-            }
-          }
-          reduce_block(oc0, 0, n_sites, block_out);
-        },
-        max_threads);
-    return;
-  }
-
-  // Active-site axis: fixed-size chunks (deterministic partitioning that
-  // does not depend on the worker count) reduced independently. Each
-  // chunk walks the tap stream ONCE, accumulating every output channel
-  // against the packed (L1-resident) weight rows — per-(site, channel)
-  // arithmetic is identical to the channel-blocked walk. Rows land in
-  // place; entries are concatenated per channel in chunk order, which is
-  // the channel-blocked walk's order.
-  std::vector<std::vector<std::vector<CooEntry>>> chunk_entries(
-      sink.entries != nullptr ? static_cast<std::size_t>(site_chunks) : 0);
-  const std::size_t oc_n = static_cast<std::size_t>(out_channels);
+  const auto oc_n = static_cast<std::size_t>(out_channels);
+  const int ranges =
+      gather_range_count(n_sites, core::parallel_thread_count());
+  // Range 0 emits straight into the sink's lists; later ranges into
+  // their own, appended after it.
+  std::vector<std::vector<std::vector<CooEntry>>> later_entries(
+      sink.entries != nullptr && ranges > 1
+          ? static_cast<std::size_t>(ranges - 1)
+          : 0);
   core::parallel_for(
-      0, site_chunks,
-      [&](int ck) {
-        const std::size_t s0 = static_cast<std::size_t>(ck) * kSiteChunk;
-        const std::size_t s1 = std::min(n_sites, s0 + kSiteChunk);
-        std::vector<std::vector<CooEntry>>* per_oc = nullptr;
+      0, ranges,
+      [&](int r) {
+        const std::size_t s0 = n_sites * static_cast<std::size_t>(r) /
+                               static_cast<std::size_t>(ranges);
+        const std::size_t s1 = n_sites * static_cast<std::size_t>(r + 1) /
+                               static_cast<std::size_t>(ranges);
+        std::vector<CooEntry>* per_oc = nullptr;
         if (sink.entries != nullptr) {
-          per_oc = &chunk_entries[static_cast<std::size_t>(ck)];
-          per_oc->resize(oc_n);
-          for (auto& entries : *per_oc) entries.reserve(s1 - s0);
+          auto& lists = r == 0 ? *sink.entries
+                               : later_entries[static_cast<std::size_t>(r - 1)];
+          lists.resize(oc_n);
+          for (auto& entries : lists) entries.reserve(s1 - s0);
+          per_oc = lists.data();
         }
-        float init[kMaxAccum];
-        for (std::size_t j = 0; j < oc_n; ++j) {
-          init[j] = bias.empty() ? 0.0f : bias[j];
-        }
-        float acc[kMaxAccum];
-        for (std::size_t si = s0; si < s1; ++si) {
-          for (std::size_t j = 0; j < oc_n; ++j) acc[j] = init[j];
-          const std::size_t t0 = s.site_ptr[si];
-          const std::size_t t1 = s.site_ptr[si + 1];
-          for (std::size_t t = t0; t < t1; ++t) {
-            const float* w_row =
-                packed_w +
-                static_cast<std::size_t>(s.taps[t].w_offset) * oc_n;
-            const float v = s.taps[t].value;
-            std::size_t j = 0;
-            for (; j + kOcBlock <= oc_n; j += kOcBlock) {
-              for (int jj = 0; jj < kOcBlock; ++jj) {
-                acc[j + jj] += w_row[j + jj] * v;
-              }
-            }
-            for (; j < oc_n; ++j) acc[j] += w_row[j] * v;
-          }
-          if (per_oc == nullptr) {
-            store_row(sink.rows + static_cast<std::size_t>(s.sites[si]) * oc_n,
-                      acc, out_channels);
-            continue;
-          }
-          const std::int32_t row = s.sites[si] / out_w;
-          const std::int32_t col = s.sites[si] % out_w;
-          for (std::size_t j = 0; j < oc_n; ++j) {
-            if (acc[j] != 0.0f) {
-              (*per_oc)[j].push_back(CooEntry{row, col, acc[j]});
-            }
-          }
+        if (oc_n > kMaxStackAccum) {
+          reduce_range<true>(s, packed_w, bias, oc_n, out_w, s0, s1,
+                             sink.rows, per_oc);
+        } else {
+          reduce_range<false>(s, packed_w, bias, oc_n, out_w, s0, s1,
+                              sink.rows, per_oc);
         }
       },
-      max_threads);
-  if (sink.entries == nullptr) return;
-  for (int oc = 0; oc < out_channels; ++oc) {
-    std::size_t total = 0;
-    for (const auto& per_oc : chunk_entries) {
-      total += per_oc[static_cast<std::size_t>(oc)].size();
-    }
-    auto& dst = (*sink.entries)[static_cast<std::size_t>(oc)];
+      ranges);
+  if (later_entries.empty()) return;
+  for (std::size_t oc = 0; oc < oc_n; ++oc) {
+    auto& dst = (*sink.entries)[oc];
+    std::size_t total = dst.size();
+    for (const auto& lists : later_entries) total += lists[oc].size();
     dst.reserve(total);
-    for (const auto& per_oc : chunk_entries) {
-      const auto& src = per_oc[static_cast<std::size_t>(oc)];
-      dst.insert(dst.end(), src.begin(), src.end());
+    for (const auto& lists : later_entries) {
+      dst.insert(dst.end(), lists[oc].begin(), lists[oc].end());
     }
   }
 }
@@ -438,60 +352,26 @@ void reduce_sites(const ConvScratch& s, const float* packed_w,
 /// the order the scatter kernel's entry loop reaches that site, so the
 /// per-site reduction stays bitwise identical to the scatter result.
 GatherGeometry build_taps_impl(std::span<const CooChannel> input,
-                               const Conv2dSpec& spec, bool submanifold,
-                               ConvScratch& s) {
-  const int in_h = input[0].height();
-  const int in_w = input[0].width();
-  const int out_h = submanifold ? in_h
-                                : conv_out_extent(in_h, spec.kernel,
-                                                  spec.stride, spec.padding);
-  const int out_w = submanifold ? in_w
-                                : conv_out_extent(in_w, spec.kernel,
-                                                  spec.stride, spec.padding);
+                               const Conv2dSpec& spec, ConvScratch& s) {
+  const int out_h = conv_out_extent(input[0].height(), spec.kernel,
+                                    spec.stride, spec.padding);
+  const int out_w = conv_out_extent(input[0].width(), spec.kernel,
+                                    spec.stride, spec.padding);
   const std::size_t out_plane =
       static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
 
   std::uint8_t* act = s.active_buffer(out_plane);
   s.sites.clear();
-
-  // Submanifold output sites are the union of input active sites — mark
-  // them up front so the enumeration below can restrict its targets.
-  // Strided (CSR) sites are exactly the enumeration's scatter targets,
-  // so marking happens inside the single enumeration pass instead.
   std::size_t nnz_in = 0;
-  for (int ic = 0; ic < spec.in_channels; ++ic) {
-    const CooChannel& ch = input[static_cast<std::size_t>(ic)];
-    nnz_in += ch.nnz();
-    if (!submanifold) continue;
-    for (const CooEntry& e : ch.entries()) {
-      const std::size_t idx =
-          static_cast<std::size_t>(e.row) * static_cast<std::size_t>(in_w) +
-          static_cast<std::size_t>(e.col);
-      if (act[idx] == 0) {
-        act[idx] = 1;
-        s.sites.push_back(static_cast<std::int32_t>(idx));
-      }
-    }
-  }
-  // Row-major order keeps the output entries sorted; the rank map is the
-  // inverse (flat output index -> position in the sorted site list).
-  const auto sort_and_rank = [&] {
-    std::sort(s.sites.begin(), s.sites.end());
-    if (s.rank.size() < out_plane) s.rank.resize(out_plane);
-    for (std::size_t si = 0; si < s.sites.size(); ++si) {
-      s.rank[static_cast<std::size_t>(s.sites[si])] =
-          static_cast<std::int32_t>(si);
-    }
-  };
-  if (submanifold) sort_and_rank();
+  for (const CooChannel& ch : input) nnz_in += ch.nnz();
 
   // Single enumeration in (channel, entry, ky, kx) order into the
-  // staging arrays; taps are then redistributed per site by a stable
+  // staging arrays, marking each scatter target as an output site on
+  // first reach; taps are then redistributed per site by a stable
   // counting scatter, whose passes are division-free linear walks.
   // Column targets are hoisted out of the ky loop so target arithmetic
   // runs once per (entry, axis offset), not per (ky, kx). tap_site
-  // carries the site rank (submanifold, where ranks pre-exist) or the
-  // flat output index (CSR, rank-translated after the site sort).
+  // carries the flat output index, rank-translated after the site sort.
   s.tap_stage.clear();
   s.tap_site.clear();
   constexpr int kMaxHoist = 32;
@@ -530,26 +410,26 @@ GatherGeometry build_taps_impl(std::span<const CooChannel> input,
             if (ox >= out_w) continue;
           }
           const std::size_t out_idx = row_base + static_cast<std::size_t>(ox);
-          if (submanifold) {
-            if (act[out_idx] == 0) continue;
-            s.tap_site.push_back(s.rank[out_idx]);
-          } else {
-            if (act[out_idx] == 0) {
-              act[out_idx] = 1;
-              s.sites.push_back(static_cast<std::int32_t>(out_idx));
-            }
-            s.tap_site.push_back(static_cast<std::int32_t>(out_idx));
+          if (act[out_idx] == 0) {
+            act[out_idx] = 1;
+            s.sites.push_back(static_cast<std::int32_t>(out_idx));
           }
+          s.tap_site.push_back(static_cast<std::int32_t>(out_idx));
           s.tap_stage.push_back(GatherTap{w_ky_base + kx, e.value});
         }
       }
     }
   }
-  if (!submanifold) {
-    sort_and_rank();
-    for (std::int32_t& ts : s.tap_site) {
-      ts = s.rank[static_cast<std::size_t>(ts)];
-    }
+  // Row-major order keeps the output entries sorted; the rank map is the
+  // inverse (flat output index -> position in the sorted site list).
+  std::sort(s.sites.begin(), s.sites.end());
+  if (s.rank.size() < out_plane) s.rank.resize(out_plane);
+  for (std::size_t si = 0; si < s.sites.size(); ++si) {
+    s.rank[static_cast<std::size_t>(s.sites[si])] =
+        static_cast<std::int32_t>(si);
+  }
+  for (std::int32_t& ts : s.tap_site) {
+    ts = s.rank[static_cast<std::size_t>(ts)];
   }
   const std::size_t n_sites = s.sites.size();
   const std::size_t n_taps = s.tap_stage.size();
@@ -582,20 +462,19 @@ void clear_scratch_impl(std::span<const CooChannel> input, ConvScratch& s) {
   }
 }
 
-/// Gather-kernel core shared by submanifold_conv2d (stride-1, output
-/// sites = input active sites) and sparse_conv2d_csr /
-/// sparse_conv2d_csr_rows (strided, output sites = scatter targets of
-/// the input non-zeros): build the site/tap lists, reduce them against
-/// every output channel, restore the scratch. With `rows` null the sums
-/// come back as per-channel COO; otherwise they land in `rows`,
-/// reshaped to the site-major [1, out_h, out_w, out_channels] current
-/// (sites no tap reaches hold 0), and the returned vector is empty.
+/// Gather-kernel core of sparse_conv2d_csr / sparse_conv2d_csr_rows
+/// (output sites = scatter targets of the input non-zeros): build the
+/// site/tap lists, reduce them against every output channel, restore the
+/// scratch. With `rows` null the sums come back as per-channel COO;
+/// otherwise they land in `rows`, reshaped to the site-major
+/// [1, out_h, out_w, out_channels] current (sites no tap reaches hold 0),
+/// and the returned vector is empty.
 std::vector<CooChannel> gather_conv_sample(
     std::span<const CooChannel> input, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
-    ConvScratch& s, SubmanifoldThreading threading, ConvWork* work,
-    const float* shared_packed_w, DenseTensor* rows = nullptr) {
-  const GatherGeometry geo = build_taps_impl(input, spec, submanifold, s);
+    std::span<const float> bias, const Conv2dSpec& spec, ConvScratch& s,
+    ConvWork* work, const float* shared_packed_w,
+    DenseTensor* rows = nullptr) {
+  const GatherGeometry geo = build_taps_impl(input, spec, s);
 
   const std::size_t sparse_macs =
       s.taps.size() * static_cast<std::size_t>(spec.out_channels);
@@ -615,8 +494,7 @@ std::vector<CooChannel> gather_conv_sample(
     out_entries.resize(static_cast<std::size_t>(spec.out_channels));
     sink.entries = &out_entries;
   }
-  reduce_sites(s, packed_w, bias, spec.out_channels, geo.out_w, threading,
-               sink);
+  reduce_sites(s, packed_w, bias, spec.out_channels, geo.out_w, sink);
 
   clear_scratch_impl(input, s);
 
@@ -727,32 +605,15 @@ void sparse_conv2d_rows(std::span<const CooChannel> input,
   }
 }
 
-std::vector<CooChannel> submanifold_conv2d(std::span<const CooChannel> input,
-                                           const DenseTensor& weights,
-                                           std::span<const float> bias,
-                                           const Conv2dSpec& spec,
-                                           ConvWork* work, Workspace* workspace,
-                                           SubmanifoldThreading threading,
-                                           std::span<const float> packed_weights) {
-  validate_conv_inputs(input, weights, bias, spec);
-  require_submanifold_geometry(input, spec);
-  Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
-  return gather_conv_sample(input, weights, bias, spec, /*submanifold=*/true,
-                            arena.scratch(), threading, work,
-                            check_prepacked(packed_weights, weights));
-}
-
 std::vector<CooChannel> sparse_conv2d_csr(std::span<const CooChannel> input,
                                           const DenseTensor& weights,
                                           std::span<const float> bias,
                                           const Conv2dSpec& spec,
                                           ConvWork* work, Workspace* workspace,
-                                          SubmanifoldThreading threading,
                                           std::span<const float> packed_weights) {
   validate_conv_inputs(input, weights, bias, spec);
   Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
-  return gather_conv_sample(input, weights, bias, spec, /*submanifold=*/false,
-                            arena.scratch(), threading, work,
+  return gather_conv_sample(input, weights, bias, spec, arena.scratch(), work,
                             check_prepacked(packed_weights, weights));
 }
 
@@ -761,12 +622,10 @@ void sparse_conv2d_csr_rows(std::span<const CooChannel> input,
                             std::span<const float> bias,
                             const Conv2dSpec& spec, DenseTensor& current,
                             ConvWork* work, Workspace* workspace,
-                            SubmanifoldThreading threading,
                             std::span<const float> packed_weights) {
   validate_conv_inputs(input, weights, bias, spec);
   Workspace& arena = workspace != nullptr ? *workspace : fallback_workspace();
-  (void)gather_conv_sample(input, weights, bias, spec, /*submanifold=*/false,
-                           arena.scratch(), threading, work,
+  (void)gather_conv_sample(input, weights, bias, spec, arena.scratch(), work,
                            check_prepacked(packed_weights, weights), &current);
 }
 
@@ -777,11 +636,16 @@ void pack_conv_weights(const DenseTensor& weights, std::vector<float>& packed) {
 GatherGeometry build_gather_taps(std::span<const CooChannel> input,
                                  const DenseTensor& weights,
                                  std::span<const float> bias,
-                                 const Conv2dSpec& spec, bool submanifold,
+                                 const Conv2dSpec& spec,
                                  ConvScratch& scratch) {
   validate_conv_inputs(input, weights, bias, spec);
-  if (submanifold) require_submanifold_geometry(input, spec);
-  return build_taps_impl(input, spec, submanifold, scratch);
+  return build_taps_impl(input, spec, scratch);
+}
+
+int gather_range_count(std::size_t n_sites, int threads) noexcept {
+  const std::size_t by_sites = (n_sites + kMinRangeSites - 1) / kMinRangeSites;
+  return static_cast<int>(
+      std::min(by_sites, static_cast<std::size_t>(std::max(threads, 1))));
 }
 
 void clear_gather_scratch(std::span<const CooChannel> input,

@@ -1,9 +1,10 @@
 #pragma once
 
-// Sparse compute kernels: gather-scatter sparse convolution and the
-// submanifold variant of Graham et al. [6] that the paper's E2SF feeds.
-// Dense reference convolutions live in evedge::nn; tests cross-validate
-// the two implementations on random inputs.
+// Sparse compute kernels that the paper's E2SF feeds: the scatter sparse
+// convolution and the gather (CSR-output) convolution, which keeps the
+// dense conv's output sites and sums. Dense reference convolutions live
+// in evedge::nn; tests cross-validate the two implementations on random
+// inputs.
 
 #include <span>
 #include <vector>
@@ -16,19 +17,6 @@ namespace evedge::sparse {
 
 /// One sparse activation: in_channels COO channels sharing extents.
 using SparseSample = std::vector<CooChannel>;
-
-/// Threading axis for the per-site reduction of the gather kernels.
-/// Both axes produce bitwise-identical outputs for any thread count;
-/// kAuto prefers active-site chunks (one tap-stream pass for all
-/// channels) and falls back to channel blocks when the site chunks
-/// cannot fill the worker pool. Above 256 output channels the site axis
-/// is unavailable (its accumulator is stack-allocated) and every mode
-/// runs the channel-blocked walk.
-enum class SubmanifoldThreading : std::uint8_t {
-  kAuto,
-  kOutputChannels,
-  kActiveSites,
-};
 
 /// Geometry of a 2-D convolution (square kernel).
 struct Conv2dSpec {
@@ -77,34 +65,23 @@ void sparse_conv2d_rows(std::span<const CooChannel> input,
                         std::span<const float> packed_weights,
                         DenseTensor& current, ConvWork* work = nullptr);
 
-/// Submanifold sparse convolution (stride 1 only): output non-zeros are
-/// restricted to the union of input active sites, preventing dilation of
-/// the active set across layers. Returns out_channels sparse channels.
-/// `workspace`, when non-null, supplies the scratch arena; otherwise a
-/// thread-local fallback arena is used. `packed_weights`,
-/// when non-empty, must be the [tap offset][oc] transposition of
-/// `weights` (pack_conv_weights) — chain callers pack each layer once
-/// instead of once per invocation.
-[[nodiscard]] std::vector<CooChannel> submanifold_conv2d(
-    std::span<const CooChannel> input, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// CSR-output sparse convolution: the same strided scatter arithmetic as
+/// CSR-output sparse convolution: the same scatter arithmetic as
 /// sparse_conv2d, routed to sorted CooChannels (via from_sorted_entries)
-/// instead of a dense tensor, so strided sparse layers chain without a
+/// instead of a dense tensor, so sparse layers chain without a
 /// densify/sparsify round-trip. Entries exist only at output sites
 /// reached by at least one input tap; `bias` (when non-empty) is added at
 /// those active sites only — inactive sites stay implicit zeros, unlike
 /// the dense variant which fills them with the bias value. At active
-/// sites the result is bitwise identical to sparse_conv2d's.
+/// sites the result is bitwise identical to sparse_conv2d's, for any
+/// thread count. `workspace`, when non-null, supplies the scratch arena;
+/// otherwise a thread-local fallback arena is used. `packed_weights`,
+/// when non-empty, must be the [tap offset][oc] transposition of
+/// `weights` (pack_conv_weights) — chain callers pack each layer once
+/// instead of once per invocation.
 [[nodiscard]] std::vector<CooChannel> sparse_conv2d_csr(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec,
     ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
     std::span<const float> packed_weights = {});
 
 /// Site-major sink of sparse_conv2d_csr, the spiking gather route: the
@@ -112,13 +89,12 @@ void sparse_conv2d_rows(std::span<const CooChannel> input,
 /// its row of `current`, reshaped to [1, out_h, out_w, out_channels]
 /// (allocation reused); sites no tap reaches hold 0. Bitwise the
 /// site-major densification of sparse_conv2d_csr's output, for any
-/// threading axis and thread count. Arguments as in sparse_conv2d_csr.
+/// thread count. Arguments as in sparse_conv2d_csr.
 void sparse_conv2d_csr_rows(
     std::span<const CooChannel> input, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec,
     DenseTensor& current, ConvWork* work = nullptr,
     Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
     std::span<const float> packed_weights = {});
 
 // --- Gather front-end (shared with alternative compute backends) ---------
@@ -134,16 +110,23 @@ struct GatherGeometry {
 /// the sorted active output-site list and the shared per-site (weight
 /// offset, value) tap lists (sites / taps / site_ptr), scatter-built in
 /// O(nnz * k^2) by a count/prefix/fill pass over the input non-zeros.
-/// This is the geometry stage the float reduction in submanifold_conv2d
-/// / sparse_conv2d_csr consumes; it is exposed so alternative backends
-/// (the INT8 engine) can run their own reduction over the identical tap
-/// stream. `weights` is only used for shape validation. Callers MUST
-/// call clear_gather_scratch with the same input before reusing
-/// `scratch` for another sample.
+/// This is the geometry stage the float reduction in sparse_conv2d_csr
+/// consumes; it is exposed so alternative backends (the INT8 engine) can
+/// run their own reduction over the identical tap stream. `weights` is
+/// only used for shape validation. Callers MUST call clear_gather_scratch
+/// with the same input before reusing `scratch` for another sample.
 [[nodiscard]] GatherGeometry build_gather_taps(
     std::span<const CooChannel> input, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, bool submanifold,
+    std::span<const float> bias, const Conv2dSpec& spec,
     ConvScratch& scratch);
+
+/// How the gather reductions split `n_sites` active output sites across
+/// `threads` workers: into min(threads, ceil(n_sites / 64)) equal
+/// contiguous ranges (none without sites); range r covers
+/// [n_sites * r / count, n_sites * (r + 1) / count). Every range reduces
+/// its sites one at a time, so the split never changes an output.
+[[nodiscard]] int gather_range_count(std::size_t n_sites,
+                                     int threads) noexcept;
 
 /// Restores the active bitmap of `scratch` to all-zero, touching only
 /// the sites build_gather_taps marked for `input`.

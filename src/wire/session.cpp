@@ -223,7 +223,7 @@ void WireReceiver::send_ack(Transport& transport) {
   encode_ack(session_id_for_ack_,
              next_expected_ == 0 ? kNoneAcked : next_expected_ - 1, ack);
   // Best effort: if the link is dying the next recv notices.
-  (void)transport.send(ack.data(), ack.size());
+  if (transport.send(ack.data(), ack.size()) && eos_) final_ack_sent_ = true;
   ++stats_.acks_sent;
   since_ack_ = 0;
 }
@@ -391,6 +391,7 @@ void WireReceiver::handle(const Framed& framed, Transport& transport) {
 
 ServeOutcome WireReceiver::serve(Transport& transport) {
   framer_.reset();  // new byte stream: frame from a clean slate
+  final_ack_sent_ = false;
   // A session already past end-of-stream has nothing left to accept,
   // but its sender may have lost the final ack and reconnected for it:
   // answer (hello, resume, duplicate data) with the final cumulative
@@ -419,17 +420,19 @@ ServeOutcome WireReceiver::serve(Transport& transport) {
   return ServeOutcome::kEndOfStream;
 }
 
-void WireReceiver::linger(Transport& transport) {
+bool WireReceiver::linger(Transport& transport) {
   const auto deadline = Clock::now() + config_.linger_timeout;
   std::uint8_t rbuf[kRecvChunk];
   while (Clock::now() < deadline) {
     const std::ptrdiff_t n =
         transport.recv_some(rbuf, sizeof rbuf, config_.read_timeout);
-    if (n < 0) return;  // peer closed: it consumed the final ack
+    // Closed after the final ack went out: the peer consumed it.
+    if (n < 0) return final_ack_sent_;
     if (n == 0) continue;
     framer_.feed(rbuf, static_cast<std::size_t>(n));
     while (auto framed = framer_.next()) handle(*framed, transport);
   }
+  return false;
 }
 
 }  // namespace evedge::wire

@@ -179,8 +179,11 @@ class WireReceiver {
   /// a TCP socket with unread inbound bytes (the sender's heartbeats)
   /// RSTs the connection, discarding that ack in flight. Keeps the link
   /// open, draining and answering traffic, until the peer closes (the
-  /// completed sender closes first) or `linger_timeout` elapses.
-  void linger(Transport& transport);
+  /// completed sender closes first) or `linger_timeout` elapses. Returns
+  /// true when the peer closed after this link carried the final ack (it
+  /// consumed that ack); false when the window elapsed or the final ack
+  /// never made it onto the link, so the peer may reconnect for it.
+  [[nodiscard]] bool linger(Transport& transport);
 
   [[nodiscard]] const WireRecvStats& stats() const noexcept {
     return stats_;
@@ -218,6 +221,7 @@ class WireReceiver {
   std::uint32_t next_expected_ = 0;
   std::int64_t prev_data_seq_ = -1;  ///< last data seq seen (rewind probe)
   std::size_t since_ack_ = 0;
+  bool final_ack_sent_ = false;  ///< this link carried the final ack
   bool eos_ = false;
   /// seq -> (header, payload copy) awaiting the gap fill.
   std::map<std::uint32_t,

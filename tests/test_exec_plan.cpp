@@ -1,8 +1,8 @@
 // Density-adaptive execution planner + route-dispatched engine tests:
 // zoo-wide bitwise parity of planner-routed run()/run_batched() against
-// dense execution, CSR chain boundary accounting, submanifold stored-site
-// semantics, density telemetry agreement (hook, firing rate, thread
-// counts), plan validation atomicity, int8 composition, the per-node
+// dense execution, CSR chain boundary accounting, density telemetry
+// agreement (hook, firing rate, thread counts), plan validation
+// atomicity, int8 composition, the per-node
 // observer contract, the multi-sample run_batched contract and the COO
 // event input (run_events) against the dense steps it replaces.
 
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -264,115 +263,6 @@ TEST(ExecutionPlan, CsrChainCrossesBoundariesOnlyAtEnds) {
   net.set_execution_plan(nullptr);
 }
 
-// ------------------------------------------------- submanifold semantics
-
-// kSubmanifold restricts outputs to the input active union: stored sites
-// carry exactly the dense values, halo sites are dropped to zero.
-TEST(ExecutionPlan, SubmanifoldRouteIsStoredSiteExact) {
-  en::NetworkSpec spec;
-  spec.name = "subm1";
-  spec.n_bins = 1;
-  spec.timesteps = 1;
-  en::LayerSpec conv;
-  conv.name = "c";
-  conv.kind = en::LayerKind::kConv;
-  conv.conv = es::Conv2dSpec{2, 6, 3, 1, 1};
-  conv.relu_after = false;
-  const int in = spec.graph.add_input("events", en::TensorShape{1, 2, 24, 30});
-  const int c = spec.graph.add_layer(conv, {in});
-  en::LayerSpec out;
-  out.name = "out";
-  out.kind = en::LayerKind::kOutput;
-  spec.graph.add_layer(out, {c});
-  spec.graph.validate();
-
-  en::FunctionalNetwork net(spec, 3);
-  const auto probe = make_probe(spec, 51, 0.03);
-  const auto dense_out = net.run(probe.steps);
-
-  en::ExecutionPlan plan = all_csr_plan(spec, {});
-  plan.route[static_cast<std::size_t>(c)] = en::Route::kSubmanifold;
-  net.set_execution_plan(&plan);
-  const auto routed_out = net.run(probe.steps);
-  net.set_execution_plan(nullptr);
-
-  // Active union over both input channels.
-  std::set<std::pair<int, int>> active;
-  const auto& step = probe.steps[0];
-  for (int ch = 0; ch < 2; ++ch) {
-    for (int y = 0; y < step.shape().h; ++y) {
-      for (int x = 0; x < step.shape().w; ++x) {
-        if (step.at(0, ch, y, x) != 0.0f) active.insert({y, x});
-      }
-    }
-  }
-  ASSERT_FALSE(active.empty());
-  std::size_t halo_dropped = 0;
-  for (int oc = 0; oc < 6; ++oc) {
-    for (int y = 0; y < routed_out.shape().h; ++y) {
-      for (int x = 0; x < routed_out.shape().w; ++x) {
-        if (active.contains({y, x})) {
-          EXPECT_EQ(routed_out.at(0, oc, y, x), dense_out.at(0, oc, y, x));
-        } else {
-          EXPECT_EQ(routed_out.at(0, oc, y, x), 0.0f);
-          if (dense_out.at(0, oc, y, x) != 0.0f) ++halo_dropped;
-        }
-      }
-    }
-  }
-  // The semantic difference is real: dense populated halo sites.
-  EXPECT_GT(halo_dropped, 0u);
-}
-
-// The planner only emits kSubmanifold when explicitly allowed — and
-// never for narrow spiking convs, whose approval used the scatter-route
-// cost model (they stay kCsr so the engine's scatter dispatch applies).
-TEST(ExecutionPlanner, SubmanifoldRequiresOptIn) {
-  // A stride-1 ANN conv on the sparse event input: submanifold-eligible.
-  en::NetworkSpec spec;
-  spec.name = "subm-opt-in";
-  spec.n_bins = 1;
-  spec.timesteps = 1;
-  en::LayerSpec conv;
-  conv.name = "c";
-  conv.kind = en::LayerKind::kConv;
-  conv.conv = es::Conv2dSpec{2, 8, 3, 1, 1};
-  const int in = spec.graph.add_input("events", en::TensorShape{1, 2, 32, 44});
-  const int c = spec.graph.add_layer(conv, {in});
-  en::LayerSpec out;
-  out.name = "out";
-  out.kind = en::LayerKind::kOutput;
-  spec.graph.add_layer(out, {c});
-  spec.graph.validate();
-
-  en::FunctionalNetwork net(spec, 7);
-  const auto probe = make_probe(spec, 61, 0.01);
-  const auto exact =
-      en::ExecutionPlanner::calibrate(net, probe.steps, nullptr);
-  for (const en::Route r : exact.route) {
-    EXPECT_NE(r, en::Route::kSubmanifold);
-  }
-  EXPECT_EQ(exact.route_of(c), en::Route::kCsr);
-  en::PlannerOptions opts;
-  opts.allow_submanifold = true;
-  const auto lossy =
-      en::ExecutionPlanner::calibrate(net, probe.steps, nullptr, opts);
-  EXPECT_EQ(lossy.route_of(c), en::Route::kSubmanifold);
-
-  // Narrow spiking convs keep kCsr even with the opt-in (DOTIE's
-  // isolate layer is k5 s1 p2, out_channels 1 — scatter-route costed).
-  const auto dotie = en::build_network(en::NetworkId::kDotie,
-                                      en::ZooConfig::test_scale());
-  en::FunctionalNetwork dotie_net(dotie, 7);
-  const auto dotie_probe = make_probe(dotie, 63, 0.01);
-  const auto dotie_plan = en::ExecutionPlanner::calibrate(
-      dotie_net, dotie_probe.steps, nullptr, opts);
-  for (const en::Route r : dotie_plan.route) {
-    EXPECT_NE(r, en::Route::kSubmanifold);
-  }
-  EXPECT_GT(dotie_plan.sparse_node_count(), 0);
-}
-
 // --------------------------------------------------- density telemetry
 
 // Planner density estimates must agree with densities computed directly
@@ -445,11 +335,6 @@ TEST(ExecutionPlan, SetPlanValidatesAtomically) {
   en::ExecutionPlan bad = all_csr_plan(spec, {});
   bad.route.back() = en::Route::kCsr;
   EXPECT_THROW(net.set_execution_plan(&bad), std::invalid_argument);
-
-  // Submanifold on a strided encoder layer is rejected.
-  en::ExecutionPlan strided = all_csr_plan(spec, {});
-  strided.route[1] = en::Route::kSubmanifold;  // enc1: stride 2
-  EXPECT_THROW(net.set_execution_plan(&strided), std::invalid_argument);
 
   // Sparse route on a node with non-zero bias is rejected.
   en::ExecutionPlan biased = all_csr_plan(spec, {1});
@@ -679,19 +564,17 @@ TEST(SparseBoundaries, PrePackedWeightsMatchAndValidate) {
   std::vector<float> packed;
   es::pack_conv_weights(w, packed);
   es::Workspace ws;
-  const auto plain = es::submanifold_conv2d(channels, w, {}, spec, nullptr,
-                                            &ws);
-  const auto prepacked = es::submanifold_conv2d(
-      channels, w, {}, spec, nullptr, &ws,
-      es::SubmanifoldThreading::kAuto, packed);
+  const auto plain = es::sparse_conv2d_csr(channels, w, {}, spec, nullptr,
+                                           &ws);
+  const auto prepacked =
+      es::sparse_conv2d_csr(channels, w, {}, spec, nullptr, &ws, packed);
   ASSERT_EQ(plain.size(), prepacked.size());
   for (std::size_t c = 0; c < plain.size(); ++c) {
     EXPECT_EQ(plain[c].entries(), prepacked[c].entries());
   }
   std::vector<float> wrong(packed.begin(), packed.end() - 1);
-  EXPECT_THROW((void)es::submanifold_conv2d(
-                   channels, w, {}, spec, nullptr, &ws,
-                   es::SubmanifoldThreading::kAuto, wrong),
+  EXPECT_THROW((void)es::sparse_conv2d_csr(channels, w, {}, spec, nullptr,
+                                           &ws, wrong),
                std::invalid_argument);
 }
 
@@ -1362,8 +1245,8 @@ TEST(SpikingDifferential, PlannedRunsMatchDenseBytewise) {
 
 // The site-major current kernels at the suite's layer shapes: the
 // scatter (sparse_conv2d_rows) and the gather row sink
-// (sparse_conv2d_csr_rows, on either threading axis) both write exactly
-// the dense conv's output transposed into rows. Spikes threshold the
+// (sparse_conv2d_csr_rows) both write exactly the dense conv's output
+// transposed into rows. Spikes threshold the
 // current, so a one-ulp change in summation order rarely shows at a
 // network's output; this pins it at the current itself.
 TEST(SpikingDifferential, SiteMajorCurrentsMatchDenseConv) {
@@ -1392,14 +1275,9 @@ TEST(SpikingDifferential, SiteMajorCurrentsMatchDenseConv) {
       es::DenseTensor rows;
       es::sparse_conv2d_rows(input, weights, {}, ls.conv, packed, rows);
       EXPECT_TRUE(same_bytes(rows, want)) << where << " scatter";
-      for (const auto axis : {es::SubmanifoldThreading::kAuto,
-                              es::SubmanifoldThreading::kOutputChannels,
-                              es::SubmanifoldThreading::kActiveSites}) {
-        es::sparse_conv2d_csr_rows(input, weights, {}, ls.conv, rows, nullptr,
-                                   nullptr, axis, packed);
-        EXPECT_TRUE(same_bytes(rows, want))
-            << where << " gather axis " << static_cast<int>(axis);
-      }
+      es::sparse_conv2d_csr_rows(input, weights, {}, ls.conv, rows, nullptr,
+                                 nullptr, packed);
+      EXPECT_TRUE(same_bytes(rows, want)) << where << " gather";
     }
   }
 }

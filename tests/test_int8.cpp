@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "nn/engine.hpp"
@@ -181,59 +182,52 @@ TEST(Int8Kernels, FullyConnectedMatchesFakeQuantReference) {
 
 // ----------------------------------------------------- sparse kernel parity
 
-TEST(Int8Kernels, SubmanifoldBitMatchesDenseInt8AtActiveSites) {
-  const es::Conv2dSpec spec{3, 9, 3, 1, 1};
-  const auto dense_in = sparsify(random_tensor({1, 3, 24, 30}, 51), 0.05);
-  const auto channels = es::dense_to_channels(dense_in);
-  const auto weights = random_tensor({9, 3, 3, 3}, 52, 0.3f);
-  std::vector<float> bias(9, 0.125f);
-  const auto q = eq::quantize_conv_weights(weights, spec);
-  const auto s_x = eq::Int8Scale::for_range(eq::max_abs(dense_in.data()));
-
-  es::Workspace ws;
-  es::ConvWork work;
-  const auto got =
-      eq::int8_submanifold_conv2d(channels, q, bias, s_x, &work, &ws);
-  const auto dense_out = eq::int8_conv2d(dense_in, q, bias, s_x, &ws);
-
-  ASSERT_EQ(got.size(), 9u);
-  std::size_t checked = 0;
-  for (std::size_t oc = 0; oc < got.size(); ++oc) {
-    for (const es::CooEntry& e : got[oc].entries()) {
-      // Same exact integer sum, same float requantization: bitwise equal.
-      EXPECT_EQ(e.value,
-                dense_out.at(0, static_cast<int>(oc), e.row, e.col));
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0u);
-  EXPECT_GT(work.sparse_macs, 0u);
-  EXPECT_LT(work.sparse_macs, work.dense_macs);
-}
-
 TEST(Int8Kernels, SparseCsrBitMatchesDenseInt8AtActiveSites) {
-  const es::Conv2dSpec spec{2, 8, 3, 2, 1};
-  const auto dense_in = sparsify(random_tensor({1, 2, 26, 34}, 61), 0.03);
-  const auto channels = es::dense_to_channels(dense_in);
-  const auto weights = random_tensor({8, 2, 3, 3}, 62, 0.25f);
-  const auto q = eq::quantize_conv_weights(weights, spec);
-  const auto s_x = eq::Int8Scale::for_range(eq::max_abs(dense_in.data()));
+  // A strided narrow layer, and a stride-1 biased layer wider than the
+  // reduction's 256-channel stack accumulator row.
+  struct Case {
+    es::Conv2dSpec spec;
+    es::TensorShape in_shape;
+    double density;
+    float bias;
+  };
+  for (const Case& c : {Case{{2, 8, 3, 2, 1}, {1, 2, 26, 34}, 0.03, 0.0f},
+                        Case{{3, 300, 3, 1, 1}, {1, 3, 24, 30}, 0.05,
+                             0.125f}}) {
+    SCOPED_TRACE(std::to_string(c.spec.out_channels) + " channels");
+    const auto dense_in = sparsify(random_tensor(c.in_shape, 61), c.density);
+    const auto channels = es::dense_to_channels(dense_in);
+    const auto weights =
+        random_tensor({c.spec.out_channels, c.spec.in_channels, 3, 3}, 62,
+                      0.25f);
+    const std::vector<float> bias(
+        c.bias != 0.0f ? static_cast<std::size_t>(c.spec.out_channels) : 0,
+        c.bias);
+    const auto q = eq::quantize_conv_weights(weights, c.spec);
+    const auto s_x = eq::Int8Scale::for_range(eq::max_abs(dense_in.data()));
 
-  es::Workspace ws;
-  const auto got = eq::int8_sparse_conv2d_csr(channels, q, {}, s_x,
-                                              nullptr, &ws);
-  const auto dense_out = eq::int8_conv2d(dense_in, q, {}, s_x, &ws);
-  std::size_t checked = 0;
-  for (std::size_t oc = 0; oc < got.size(); ++oc) {
-    // CSR output channels are sorted (chainable into the float kernels).
-    EXPECT_NO_THROW((void)got[oc].row_ptr());
-    for (const es::CooEntry& e : got[oc].entries()) {
-      EXPECT_EQ(e.value,
-                dense_out.at(0, static_cast<int>(oc), e.row, e.col));
-      ++checked;
+    es::Workspace ws;
+    es::ConvWork work;
+    const auto got =
+        eq::int8_sparse_conv2d_csr(channels, q, bias, s_x, &work, &ws);
+    const auto dense_out = eq::int8_conv2d(dense_in, q, bias, s_x, &ws);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(c.spec.out_channels));
+    std::size_t checked = 0;
+    for (std::size_t oc = 0; oc < got.size(); ++oc) {
+      // CSR output channels are sorted (chainable into the float kernels).
+      EXPECT_NO_THROW((void)got[oc].row_ptr());
+      for (const es::CooEntry& e : got[oc].entries()) {
+        // Same exact integer sum, same float requantization: bitwise
+        // equal.
+        EXPECT_EQ(e.value,
+                  dense_out.at(0, static_cast<int>(oc), e.row, e.col));
+        ++checked;
+      }
     }
+    EXPECT_GT(checked, 0u);
+    EXPECT_GT(work.sparse_macs, 0u);
+    EXPECT_LT(work.sparse_macs, work.dense_macs);
   }
-  EXPECT_GT(checked, 0u);
 }
 
 TEST(Int8Kernels, GatherScratchRestoredBetweenSparseCalls) {
@@ -247,11 +241,11 @@ TEST(Int8Kernels, GatherScratchRestoredBetweenSparseCalls) {
   const auto s_x = eq::Int8Scale{0.05f};
 
   es::Workspace ws;
-  const auto b_fresh = eq::int8_submanifold_conv2d(b, q, {}, s_x, nullptr,
-                                                   &ws);
-  (void)eq::int8_submanifold_conv2d(a, q, {}, s_x, nullptr, &ws);
-  const auto b_again = eq::int8_submanifold_conv2d(b, q, {}, s_x, nullptr,
-                                                   &ws);
+  const auto b_fresh = eq::int8_sparse_conv2d_csr(b, q, {}, s_x, nullptr,
+                                                  &ws);
+  (void)eq::int8_sparse_conv2d_csr(a, q, {}, s_x, nullptr, &ws);
+  const auto b_again = eq::int8_sparse_conv2d_csr(b, q, {}, s_x, nullptr,
+                                                  &ws);
   EXPECT_EQ(es::max_abs_diff(es::channels_to_dense(b_fresh),
                              es::channels_to_dense(b_again)),
             0.0f);

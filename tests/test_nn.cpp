@@ -90,34 +90,6 @@ TEST(Kernels, SparseConvMatchesDenseConv) {
   }
 }
 
-TEST(Kernels, SubmanifoldMatchesDenseAtActiveSites) {
-  const es::Conv2dSpec spec{2, 4, 3, 1, 1};
-  es::DenseTensor w(es::TensorShape{4, 2, 3, 3});
-  w.fill_random(29);
-  std::mt19937_64 rng(31);
-  std::uniform_int_distribution<int> coord(0, 9);
-  es::DenseTensor dense_in(es::TensorShape{1, 2, 10, 10});
-  std::vector<es::CooEntry> pos;
-  for (int i = 0; i < 14; ++i) {
-    const int y = coord(rng);
-    const int x = coord(rng);
-    dense_in.at(0, 0, y, x) += 1.0f;
-    pos.push_back({y, x, 1.0f});
-  }
-  std::vector<es::CooChannel> in{es::CooChannel::from_entries(10, 10, pos),
-                                 es::CooChannel(10, 10)};
-  const auto y_dense = en::conv2d(dense_in, w, {}, spec);
-  const auto y_sub = es::submanifold_conv2d(in, w, {}, spec);
-  for (const auto& ch : y_sub) {
-    EXPECT_EQ(ch.height(), 10);
-  }
-  for (int oc = 0; oc < 4; ++oc) {
-    for (const auto& e : y_sub[static_cast<std::size_t>(oc)].entries()) {
-      EXPECT_NEAR(e.value, y_dense.at(0, oc, e.row, e.col), 1e-4f);
-    }
-  }
-}
-
 TEST(Kernels, TransposedConvUpsamples) {
   es::DenseTensor in(es::TensorShape{1, 1, 4, 4}, 1.0f);
   es::DenseTensor w(es::TensorShape{1, 1, 4, 4}, 0.25f);

@@ -127,30 +127,6 @@ TEST(SparseProperties, DensityChangeTriangleBound) {
   EXPECT_GT(es::density_change(b, a), 0.0);
 }
 
-class SubmanifoldSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(SubmanifoldSweep, OutputNnzBoundedByActiveSitesTimesChannels) {
-  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 977);
-  std::uniform_int_distribution<int> coord(0, 15);
-  std::vector<es::CooEntry> pos;
-  for (int i = 0; i < 20; ++i) {
-    pos.push_back({coord(rng), coord(rng), 1.0f});
-  }
-  std::vector<es::CooChannel> in{
-      es::CooChannel::from_entries(16, 16, pos), es::CooChannel(16, 16)};
-  const es::Conv2dSpec spec{2, 5, 3, 1, 1};
-  es::DenseTensor w(es::TensorShape{5, 2, 3, 3});
-  w.fill_random(static_cast<std::uint64_t>(GetParam()));
-  const auto out = es::submanifold_conv2d(in, w, {}, spec);
-  std::size_t active = in[0].nnz();  // channel 1 is empty
-  std::size_t out_nnz = 0;
-  for (const auto& ch : out) out_nnz += ch.nnz();
-  EXPECT_LE(out_nnz, active * 5u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SubmanifoldSweep,
-                         ::testing::Values(1, 2, 3, 4));
-
 // ---------------------------------------------------------- nn properties
 
 class ConvShapeSweep

@@ -10,19 +10,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "core/parallel.hpp"
 #include "nn/kernels.hpp"
+#include "quant/int8_kernels.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/reference.hpp"
 #include "sparse/sparse_frame.hpp"
 #include "sparse/sparse_ops.hpp"
 #include "sparse/tensor.hpp"
 
+namespace eq = evedge::quant;
 namespace es = evedge::sparse;
 
 // ----------------------------------------------------------- DenseTensor
@@ -275,36 +276,6 @@ TEST(SparseOps, EmptyInputGivesBiasOnlyOutput) {
   }
 }
 
-TEST(SparseOps, SubmanifoldOutputConfinedToActiveSites) {
-  const es::Conv2dSpec spec{2, 4, 3, 1, 1};
-  es::DenseTensor w(es::TensorShape{4, 2, 3, 3});
-  w.fill_random(11);
-  const auto frame = make_frame(12, 12, 13, 10);
-  std::vector<es::CooChannel> in{frame.positive(), frame.negative()};
-  const auto out = es::submanifold_conv2d(in, w, {}, spec);
-  ASSERT_EQ(out.size(), 4u);
-
-  // Union of input active sites.
-  std::set<std::pair<int, int>> active;
-  for (const auto& ch : in) {
-    for (const auto& e : ch.entries()) active.insert({e.row, e.col});
-  }
-  for (const auto& ch : out) {
-    for (const auto& e : ch.entries()) {
-      EXPECT_TRUE(active.contains({e.row, e.col}))
-          << "output at inactive site (" << e.row << "," << e.col << ")";
-    }
-  }
-}
-
-TEST(SparseOps, SubmanifoldRejectsStride2) {
-  const es::Conv2dSpec spec{2, 4, 3, 2, 1};
-  es::DenseTensor w(es::TensorShape{4, 2, 3, 3});
-  std::vector<es::CooChannel> in{es::CooChannel(8, 8), es::CooChannel(8, 8)};
-  EXPECT_THROW((void)es::submanifold_conv2d(in, w, {}, spec),
-               std::invalid_argument);
-}
-
 TEST(SparseOps, DenseChannelRoundTrip) {
   es::DenseTensor t(es::TensorShape{1, 3, 6, 5});
   t.fill_random(21);
@@ -419,6 +390,15 @@ bool same_bytes(const es::DenseTensor& a, const es::DenseTensor& b) {
          std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
 }
 
+// Channel-wise bitwise equality of two sparse samples.
+void expect_samples_bitwise_equal(const es::SparseSample& a,
+                                  const es::SparseSample& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    EXPECT_EQ(a[c].entries(), b[c].entries()) << "channel " << c;
+  }
+}
+
 }  // namespace
 
 // (kernel, stride, padding, density-mille) sweeps pinning the fast
@@ -500,33 +480,6 @@ TEST(DenseConvTiles, GemmMatchesDirectBitwiseAcrossRowTiles) {
   }
 }
 
-TEST_P(KernelParity, SubmanifoldMatchesReference) {
-  const auto [kernel, stride, padding, dmille] = GetParam();
-  // Submanifold geometry: stride 1, same-extent output.
-  if (stride != 1 || kernel != 2 * padding + 1) GTEST_SKIP();
-  const double density = dmille / 1000.0;
-  const es::Conv2dSpec spec{2, 6, kernel, 1, padding};
-  const auto input = random_parity_channels(2, 20, 24, density, 777);
-  es::DenseTensor w(es::TensorShape{6, 2, kernel, kernel});
-  w.fill_random(17, 0.5f);
-  const std::vector<float> bias{0.1f, 0.0f, -0.1f, 0.2f, 0.0f, -0.2f};
-
-  es::ConvWork work_fast, work_ref;
-  const auto fast = es::submanifold_conv2d(input, w, bias, spec, &work_fast);
-  const auto ref =
-      es::reference::submanifold_conv2d(input, w, bias, spec, &work_ref);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t c = 0; c < fast.size(); ++c) {
-    EXPECT_NO_THROW(fast[c].validate());
-  }
-  EXPECT_LT(es::max_abs_diff(es::channels_to_dense(fast),
-                             es::channels_to_dense(ref)),
-            1e-4f);
-  EXPECT_EQ(work_fast.sparse_macs, work_ref.sparse_macs);
-  EXPECT_EQ(work_fast.dense_macs, work_ref.dense_macs);
-  EXPECT_EQ(work_fast.nnz_in, work_ref.nnz_in);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KernelParity,
     ::testing::Values(std::make_tuple(1, 1, 0, 50),
@@ -540,24 +493,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------ ConvWork MAC accounting
 
-TEST(ConvWork, SubmanifoldMacInvariants) {
+TEST(ConvWork, StrideOneCsrMacInvariants) {
   const es::Conv2dSpec spec{2, 8, 3, 1, 1};
   const auto input = random_parity_channels(2, 16, 16, 0.1, 99);
   es::DenseTensor w(es::TensorShape{8, 2, 3, 3});
   w.fill_random(98, 0.5f);
   es::ConvWork work;
-  (void)es::submanifold_conv2d(input, w, {}, spec, &work);
+  (void)es::sparse_conv2d_csr(input, w, {}, spec, &work);
   std::size_t nnz = 0;
   for (const auto& ch : input) nnz += ch.nnz();
   EXPECT_EQ(work.nnz_in, nnz);
-  // Every stored non-zero is visible through at most k*k active sites,
-  // each MAC replicated across the 8 output channels.
+  // Every stored non-zero reaches at most k*k output sites, each MAC
+  // replicated across the 8 output channels.
   EXPECT_LE(work.sparse_macs, nnz * 9u * 8u);
   // dense_macs is the full H*W*Cout*Cin*k*k loop nest.
   EXPECT_EQ(work.dense_macs, 16u * 16u * 8u * 2u * 9u);
   EXPECT_LE(work.sparse_macs, work.dense_macs);
   // sparse_macs must count at least the self-tap of every non-zero.
   EXPECT_GE(work.sparse_macs, nnz * 8u);
+  // Exactly the seed scatter's count: one MAC per in-bounds tap and
+  // output channel.
+  es::ConvWork ref;
+  (void)es::reference::sparse_conv2d(input, w, {}, spec, &ref);
+  EXPECT_EQ(work.sparse_macs, ref.sparse_macs);
 }
 
 TEST(ConvWork, SparseConvMacInvariants) {
@@ -637,11 +595,44 @@ TEST(ParallelFor, ConvResultsThreadCountInvariant) {
   es::DenseTensor tw(es::TensorShape{6, 8, 4, 4});
   tw.fill_random(8, 0.4f);
   const std::vector<float> tbias{0.1f, -0.2f, 0.3f, -0.4f, 0.5f, -0.6f};
+  // The gather kernels (COO sink, row sink, int8) on Adaptive-SpikeNet's
+  // res1 plane: 128 channels on 16x22, fewer 64-site ranges than 7
+  // workers, and 300 channels, past the stack accumulator row.
+  struct Gather {
+    es::Conv2dSpec spec;
+    es::DenseTensor w;
+    std::vector<float> packed;
+    eq::Int8ConvWeights q;
+    es::SparseSample csr;
+    es::DenseTensor rows;
+    es::SparseSample int8;
+  };
+  const auto ginput = random_parity_channels(128, 16, 22, 0.04, 9);
+  const eq::Int8Scale s_x = eq::Int8Scale::for_range(2.0f);
+  std::vector<Gather> gathers;
+  for (const int out_channels : {128, 300}) {
+    Gather g;
+    g.spec = es::Conv2dSpec{128, out_channels, 3, 1, 1};
+    g.w = es::DenseTensor(es::TensorShape{out_channels, 128, 3, 3});
+    g.w.fill_random(10 + static_cast<std::uint64_t>(out_channels), 0.2f);
+    es::pack_conv_weights(g.w, g.packed);
+    g.q = eq::quantize_conv_weights(g.w, g.spec);
+    gathers.push_back(std::move(g));
+  }
+  const auto run_gathers = [&](const Gather& g, es::SparseSample& csr,
+                               es::DenseTensor& rows, es::SparseSample& int8) {
+    csr = es::sparse_conv2d_csr(ginput, g.w, {}, g.spec, nullptr, nullptr,
+                                g.packed);
+    es::sparse_conv2d_csr_rows(ginput, g.w, {}, g.spec, rows, nullptr,
+                               nullptr, g.packed);
+    int8 = eq::int8_sparse_conv2d_csr(ginput, g.q, {}, s_x);
+  };
   const char* saved = std::getenv("EVEDGE_THREADS");
   const std::string saved_value = saved != nullptr ? saved : "";
   ASSERT_EQ(setenv("EVEDGE_THREADS", "1", 1), 0);
   const auto serial = evedge::nn::conv2d_gemm(input, w, {}, spec);
   const auto tserial = evedge::nn::transposed_conv2d(tinput, tw, tbias, tspec);
+  for (Gather& g : gathers) run_gathers(g, g.csr, g.rows, g.int8);
   for (const char* threads : {"2", "3", "7"}) {
     ASSERT_EQ(setenv("EVEDGE_THREADS", threads, 1), 0);
     EXPECT_EQ(evedge::core::parallel_thread_count(), std::atoi(threads));
@@ -651,6 +642,17 @@ TEST(ParallelFor, ConvResultsThreadCountInvariant) {
     EXPECT_TRUE(same_bytes(
         evedge::nn::transposed_conv2d(tinput, tw, tbias, tspec), tserial))
         << "transposed_conv2d diverged at EVEDGE_THREADS=" << threads;
+    for (const Gather& g : gathers) {
+      SCOPED_TRACE("gather to " + std::to_string(g.spec.out_channels) +
+                   " channels at EVEDGE_THREADS=" + threads);
+      es::SparseSample csr;
+      es::DenseTensor rows;
+      es::SparseSample int8;
+      run_gathers(g, csr, rows, int8);
+      expect_samples_bitwise_equal(csr, g.csr);
+      EXPECT_TRUE(same_bytes(rows, g.rows));
+      expect_samples_bitwise_equal(int8, g.int8);
+    }
   }
   if (saved != nullptr) {
     setenv("EVEDGE_THREADS", saved_value.c_str(), 1);
@@ -673,19 +675,6 @@ TEST(ParallelFor, PropagatesBodyExceptions) {
 }
 
 // ----------------------------- CSR-output and batched kernel parity
-
-namespace {
-
-// Channel-wise bitwise equality of two sparse samples.
-void expect_samples_bitwise_equal(const es::SparseSample& a,
-                                  const es::SparseSample& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    EXPECT_EQ(a[c].entries(), b[c].entries()) << "channel " << c;
-  }
-}
-
-}  // namespace
 
 // (kernel, stride, padding, density-mille) sweep: the CSR-output strided
 // conv must match the seed reference scatter (<= 1e-4) and be bitwise
@@ -766,35 +755,6 @@ TEST(SparseCsr, BiasAppliesAtActiveSitesOnly) {
   }
 }
 
-// Both threading axes of the gather reduction produce bitwise-identical
-// channels (the per-(site, channel) accumulation order is the same).
-TEST(SubmanifoldThreading, AxesAreBitwiseIdentical) {
-  const es::Conv2dSpec spec{4, 12, 3, 1, 1};
-  const auto input = random_parity_channels(4, 40, 44, 0.08, 2024);
-  es::DenseTensor w(es::TensorShape{12, 4, 3, 3});
-  w.fill_random(41, 0.5f);
-
-  es::Workspace ws;
-  const auto oc = es::submanifold_conv2d(
-      input, w, {}, spec, nullptr, &ws,
-      es::SubmanifoldThreading::kOutputChannels);
-  const auto sites = es::submanifold_conv2d(
-      input, w, {}, spec, nullptr, &ws,
-      es::SubmanifoldThreading::kActiveSites);
-  const auto autop = es::submanifold_conv2d(input, w, {}, spec, nullptr, &ws,
-                                            es::SubmanifoldThreading::kAuto);
-  expect_samples_bitwise_equal(oc, sites);
-  expect_samples_bitwise_equal(oc, autop);
-
-  const auto csr_oc = es::sparse_conv2d_csr(
-      input, w, {}, es::Conv2dSpec{4, 12, 3, 2, 1}, nullptr, &ws,
-      es::SubmanifoldThreading::kOutputChannels);
-  const auto csr_sites = es::sparse_conv2d_csr(
-      input, w, {}, es::Conv2dSpec{4, 12, 3, 2, 1}, nullptr, &ws,
-      es::SubmanifoldThreading::kActiveSites);
-  expect_samples_bitwise_equal(csr_oc, csr_sites);
-}
-
 // ----------------------------------------------------- Workspace arena
 
 TEST(Workspace, ReuseIsStableAndStopsGrowing) {
@@ -804,12 +764,12 @@ TEST(Workspace, ReuseIsStableAndStopsGrowing) {
   w.fill_random(51, 0.5f);
 
   es::Workspace ws;
-  const auto first = es::submanifold_conv2d(input, w, {}, spec, nullptr, &ws);
+  const auto first = es::sparse_conv2d_csr(input, w, {}, spec, nullptr, &ws);
   const std::size_t warm_bytes = ws.retained_bytes();
   EXPECT_GT(warm_bytes, 0u);
   for (int i = 0; i < 3; ++i) {
     const auto again =
-        es::submanifold_conv2d(input, w, {}, spec, nullptr, &ws);
+        es::sparse_conv2d_csr(input, w, {}, spec, nullptr, &ws);
     expect_samples_bitwise_equal(first, again);
   }
   // Steady state: repeated identical calls allocate no new scratch.
@@ -818,6 +778,6 @@ TEST(Workspace, ReuseIsStableAndStopsGrowing) {
   ws.clear();
   EXPECT_EQ(ws.retained_bytes(), 0u);
   const auto after_clear =
-      es::submanifold_conv2d(input, w, {}, spec, nullptr, &ws);
+      es::sparse_conv2d_csr(input, w, {}, spec, nullptr, &ws);
   expect_samples_bitwise_equal(first, after_clear);
 }

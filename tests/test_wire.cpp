@@ -131,7 +131,7 @@ ew::WireSendStats pump_session(const ee::EventStream& stream,
     if (!t) continue;
     if (wrap) t = wrap(std::move(t));
     if (receiver.serve(*t) == ew::ServeOutcome::kEndOfStream) {
-      receiver.linger(*t);  // as the serving ingress does
+      (void)receiver.linger(*t);  // as the serving ingress does
     }
     t->close();
   }
@@ -1036,6 +1036,121 @@ TEST(WireServing, ReportSumsEveryWireLaneAcrossStreams) {
   EXPECT_EQ(report.wire_resyncs, sum.wire_resyncs);
   EXPECT_EQ(report.wire_reconnects, sum.wire_reconnects);
   EXPECT_GE(report.wire_reconnects, 1u);
+}
+
+/// Receiver-side transport whose first send after the sender's
+/// end-of-stream packet fails and takes the link down: the final ack
+/// never reaches the sender. The end-of-stream packet is spotted by
+/// framing the bytes recv_some returns.
+class FinalAckLossTransport final : public ew::Transport {
+ public:
+  explicit FinalAckLossTransport(std::unique_ptr<ew::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  bool send(const void* data, std::size_t n) override {
+    if (eos_seen_ && !failed_) {
+      failed_ = true;
+      inner_->close();
+      return false;
+    }
+    return inner_->send(data, n);
+  }
+
+  std::ptrdiff_t recv_some(void* data, std::size_t n,
+                           std::chrono::milliseconds timeout) override {
+    const std::ptrdiff_t got = inner_->recv_some(data, n, timeout);
+    if (got > 0) {
+      framer_.feed(data, static_cast<std::size_t>(got));
+      while (const auto framed = framer_.next()) {
+        if (framed->error == ew::PacketError::kNone &&
+            framed->header.type == ew::PacketType::kEndOfStream) {
+          eos_seen_ = true;
+        }
+      }
+    }
+    return got;
+  }
+
+  void close() override { inner_->close(); }
+  [[nodiscard]] bool closed() const override { return inner_->closed(); }
+
+ private:
+  std::unique_ptr<ew::Transport> inner_;
+  ew::PacketFramer framer_;
+  bool eos_seen_ = false;
+  bool failed_ = false;
+};
+
+TEST(WireServing, ReconnectPastEndOfStreamGetsFinalAck) {
+  // The final ack is lost with the link: the sender reconnects past
+  // end-of-stream, and the ingress must still be accepting to answer
+  // it. Timeouts are generous so a loaded host slows the reconnect down
+  // without failing it.
+  const en::ZooConfig scale{32, 32, 8, 4, 2.0f};
+  const en::NetworkSpec spec =
+      en::build_network(en::NetworkId::kDotie, scale);
+
+  ev::ServeConfig config;
+  config.n_workers = 1;
+  config.queue_capacity = 64;
+  config.overflow = ev::OverflowPolicy::kBlock;
+  config.capture_outputs = true;
+  ev::ServingRuntime runtime(spec, 7, config);
+
+  const ee::EventStream stream = small_stream(0, 150'000, 91, 32, 32);
+  const std::vector<std::vector<es::SparseFrame>> frames{
+      ev::ServingRuntime::ingest(stream, config.ingress)};
+  ASSERT_FALSE(frames.front().empty());
+
+  ew::TcpListener listener;
+  ew::TcpListener* l = &listener;
+  bool first = true;
+  const ev::TransportAcceptor acceptor =
+      [l, &first](std::chrono::milliseconds timeout)
+      -> std::unique_ptr<ew::Transport> {
+    std::unique_ptr<ew::Transport> t = l->accept(timeout);
+    if (t && first) {
+      first = false;
+      return std::make_unique<FinalAckLossTransport>(std::move(t));
+    }
+    return t;
+  };
+
+  const std::uint16_t port = listener.port();
+  ew::WireSendStats send_stats;
+  std::thread tx([&] {
+    ew::WireSenderConfig cfg;
+    cfg.resume_timeout = 5000ms;
+    cfg.max_reconnects = 2;
+    ew::WireSender sender(stream, cfg, [port] {
+      return ew::TcpTransport::connect(port, 5000ms);
+    });
+    send_stats = sender.run();
+  });
+
+  ev::WireIngressConfig wire_config;
+  wire_config.accept_timeout = 5000ms;
+  wire_config.receiver.stall_timeout = 5000ms;
+  const ev::ServeReport report = runtime.run_wire(
+      std::span<const ev::TransportAcceptor>(&acceptor, 1), wire_config);
+  tx.join();
+
+  EXPECT_TRUE(send_stats.completed);
+  EXPECT_EQ(send_stats.reconnects, 1u);
+  EXPECT_EQ(report.wire_reconnects, 1u);
+  EXPECT_TRUE(report.accounting_ok());
+  EXPECT_EQ(report.frames_failed, 0u);
+  EXPECT_EQ(report.frames_dropped, 0u);
+
+  const auto serial = runtime.run_serial(frames, true);
+  ASSERT_EQ(report.frames_completed, frames.front().size());
+  for (std::size_t i = 0; i < frames.front().size(); ++i) {
+    const es::DenseTensor* served =
+        runtime.output(0, static_cast<std::int64_t>(i));
+    ASSERT_NE(served, nullptr) << "seq " << i;
+    EXPECT_EQ(es::max_abs_diff(*served, serial.outputs.front()[i]), 0.0f)
+        << "seq " << i;
+  }
 }
 
 TEST(WireServing, JournalRecordsWireRejections) {
